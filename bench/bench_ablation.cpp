@@ -53,9 +53,6 @@
 #include "sim/kernel.hpp"
 #include "study/study.hpp"
 #include "trace/instants.hpp"
-#include "tdg/batch_engine.hpp"
-#include "tdg/builder.hpp"
-#include "tdg/lanes.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/export.hpp"
 #include "tdg/simplify.hpp"
@@ -240,7 +237,7 @@ int main(int argc, char** argv) {
   // N identical LTE receivers share one description (study::compose keeps
   // them batch-eligible) and run in one kernel either through the batched
   // equivalent model (one compiled program + shared frame arena) or the
-  // isolated merged graph (StudyOptions::batch_composed off). Padding
+  // isolated merged graph (RunConfig::batch_composed off). Padding
   // sweeps the per-instance TDG complexity: at pad 0 the composed receiver
   // is kernel-bound and batching is neutral; as computation grows (the
   // Fig. 5 regime) the shared-program fronts pull ahead.
@@ -566,192 +563,6 @@ int main(int argc, char** argv) {
                 serve_bit_identical ? "yes" : "NO", t8b.render().c_str());
   }
 
-  // --- 9. lane-width × dispatch sweep --------------------------------------
-  // The opcode/vector layer (docs/DESIGN.md §14). Two levers, measured
-  // separately:
-  //  * fixed-weight lane microbench: a chain of pure-delay instants on a
-  //    direct tdg::BatchEngine — every front is full-width uniform, so the
-  //    drain is exactly the SoA lane kernels (tdg/lanes.hpp) vs the
-  //    per-element mp::Scalar reference loop, swept over batch widths
-  //    (width 1 never vectorizes and anchors the sweep at 1.00x);
-  //  * opcode vs closure dispatch on the batched LTE workload: the same
-  //    composed run with loads evaluated through the tdg::ops tables vs
-  //    the hoisted std::function per arc term.
-  // Traces are bit-identical across all four toggles (tests/test_ops.cpp
-  // pins that); this ablation measures what the identity costs.
-  struct LaneRow {
-    std::size_t width;
-    double ref_s;
-    double vec_s;
-    double speedup;
-    double vec_lanes_per_us;
-  };
-  std::vector<LaneRow> lane_rows;
-  constexpr std::size_t kLaneNodes = 64;
-  constexpr std::uint64_t kLaneIters = 2000;
-  constexpr std::size_t kKernelLanes = 4096;
-  constexpr int kKernelSweeps = 20000;
-  double kernel_scalar_s = 0.0, kernel_vector_s = 0.0;
-  double kernel_vector_lanes_per_ns = 0.0;
-  double opcode_closure_s = 0.0, opcode_tables_s = 0.0;
-  {
-    // The kernel itself, isolated from the drain machinery: one long SoA
-    // lane accumulated fixed-weight sweep after sweep, lanes::accumulate
-    // vs the element-at-a-time mp::Scalar fold (the shape of the
-    // pre-vector drain loop). This is the per-lane propagation rate the
-    // §14 target speaks about; the engine-level sweep below then shows
-    // what survives the full flush path at realistic batch widths.
-    std::vector<std::int64_t> acc_ps(kKernelLanes), src_ps(kKernelLanes);
-    std::vector<std::uint8_t> acc_eps(kKernelLanes), src_eps(kKernelLanes);
-    const auto reset_lanes = [&] {
-      for (std::size_t i = 0; i < kKernelLanes; ++i) {
-        src_ps[i] = static_cast<std::int64_t>(i) * 37;
-        src_eps[i] = i % 16 == 3 ? 1 : 0;  // a sprinkling of ε lanes
-      }
-      tdg::lanes::fill_eps(acc_ps.data(), acc_eps.data(), kKernelLanes);
-    };
-    std::int64_t sink = 0;
-
-    reset_lanes();
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int s = 0; s < kKernelSweeps; ++s) {
-        const mp::Scalar w = mp::Scalar::of(s & 1023);
-        for (std::size_t i = 0; i < kKernelLanes; ++i) {
-          const mp::Scalar a = acc_eps[i] != 0 ? mp::Scalar::eps()
-                                               : mp::Scalar::of(acc_ps[i]);
-          const mp::Scalar v = src_eps[i] != 0 ? mp::Scalar::eps()
-                                               : mp::Scalar::of(src_ps[i]);
-          const mp::Scalar r = a + v * w;
-          acc_eps[i] = r.is_eps() ? 1 : 0;
-          acc_ps[i] = r.is_eps() ? 0 : r.value();
-        }
-      }
-      kernel_scalar_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    }
-    for (std::size_t i = 0; i < kKernelLanes; ++i) sink += acc_ps[i];
-    const std::int64_t scalar_sum = sink;
-
-    reset_lanes();
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int s = 0; s < kKernelSweeps; ++s)
-        (void)tdg::lanes::accumulate(acc_ps.data(), acc_eps.data(),
-                                     src_ps.data(), src_eps.data(), s & 1023,
-                                     kKernelLanes);
-      kernel_vector_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    }
-    sink = 0;
-    for (std::size_t i = 0; i < kKernelLanes; ++i) sink += acc_ps[i];
-    const double kernel_lanes = static_cast<double>(kKernelLanes) *
-                                static_cast<double>(kKernelSweeps);
-    kernel_vector_lanes_per_ns = kernel_lanes / kernel_vector_s / 1e9;
-    ConsoleTable t9k({"kernel", "run (s)", "lanes/ns", "speed-up"});
-    t9k.add_row({"mp::Scalar fold", format("%.3f", kernel_scalar_s),
-                 format("%.2f", kernel_lanes / kernel_scalar_s / 1e9),
-                 "1.00x"});
-    t9k.add_row({"lane kernel", format("%.3f", kernel_vector_s),
-                 format("%.2f", kernel_vector_lanes_per_ns),
-                 format("%.2fx", kernel_scalar_s / kernel_vector_s)});
-    std::printf("Ablation 9: fixed-weight lane kernel (%zu lanes x %s "
-                "sweeps, results identical: %s)\n%s\n",
-                kKernelLanes,
-                with_commas(static_cast<std::int64_t>(kKernelSweeps)).c_str(),
-                sink == scalar_sum ? "yes" : "NO", t9k.render().c_str());
-
-    tdg::GraphBuilder lb;
-    lb.input("u");
-    lb.instant("n0");
-    lb.arc("u", "n0").fixed(Duration::ns(1));
-    for (std::size_t i = 1; i < kLaneNodes; ++i) {
-      const std::string prev = "n" + std::to_string(i - 1);
-      const std::string cur = "n" + std::to_string(i);
-      lb.instant(cur);
-      // Two pure-delay in-arcs per node: a same-iteration chain arc and a
-      // lagged history arc (the broadcast kernel's case on iteration 0).
-      lb.arc(prev, cur).fixed(Duration::ns(1));
-      lb.arc(prev, cur).lag(1).fixed(Duration::ns(2));
-    }
-    tdg::Graph lane_graph = lb.take();
-    lane_graph.freeze();
-
-    const auto time_lane_drain = [&](std::size_t width, bool vector) {
-      double best = 1e100;
-      for (int rep = 0; rep < 3; ++rep) {
-        tdg::BatchEngine::Options o;
-        o.instances.resize(width);
-        o.expected_iterations = kLaneIters;
-        o.vector_drain = vector;
-        tdg::BatchEngine eng(lane_graph, o);
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::uint64_t k = 0; k < kLaneIters; ++k) {
-          for (std::size_t i = 0; i < width; ++i)
-            eng.set_external(
-                i, 0, k,
-                TimePoint::at_ps(static_cast<std::int64_t>(k) * 1000 +
-                                 static_cast<std::int64_t>(i)));
-          (void)eng.flush();
-        }
-        best = std::min(best, std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count());
-      }
-      return best;
-    };
-
-    ConsoleTable t9({"width", "reference (s)", "vector (s)", "speed-up",
-                     "lanes/µs"});
-    for (const std::size_t width : {1u, 2u, 4u, 8u}) {
-      const double ref_s = time_lane_drain(width, false);
-      const double vec_s = time_lane_drain(width, true);
-      const double lanes =
-          static_cast<double>(width * kLaneNodes) *
-          static_cast<double>(kLaneIters);
-      lane_rows.push_back(
-          {width, ref_s, vec_s, ref_s / vec_s, lanes / vec_s / 1e6});
-      t9.add_row({format("%zu", width), format("%.3f", ref_s),
-                  format("%.3f", vec_s), format("%.2fx", ref_s / vec_s),
-                  format("%.1f", lanes / vec_s / 1e6)});
-    }
-    std::printf("Ablation 9b: vector drain vs reference loop (%zu-node "
-                "pure-delay chain, %s iterations)\n%s\n",
-                kLaneNodes,
-                with_commas(static_cast<std::int64_t>(kLaneIters)).c_str(),
-                t9.render().c_str());
-
-    std::vector<study::Scenario> parts;
-    for (std::size_t i = 0; i < kBatchInstances; ++i)
-      parts.emplace_back("rx" + std::to_string(i), receiver);
-    const study::Scenario composed = study::compose("ca8ops", parts);
-    for (const bool opcode : {false, true}) {
-      study::RunConfig rc;
-      rc.opcode_dispatch = opcode;
-      double best = 1e100;
-      for (int rep = 0; rep < 3; ++rep) {
-        auto model = study::Backend::equivalent().instantiate(composed, rc);
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)model->run();
-        best = std::min(best, std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count());
-      }
-      (opcode ? opcode_tables_s : opcode_closure_s) = best;
-    }
-    ConsoleTable t9b({"dispatch", "run (s)", "speed-up"});
-    t9b.add_row({"closure", format("%.3f", opcode_closure_s), "1.00x"});
-    t9b.add_row({"opcode", format("%.3f", opcode_tables_s),
-                 format("%.2fx", opcode_closure_s / opcode_tables_s)});
-    std::printf("Ablation 9c: opcode vs closure load dispatch (%zu batched "
-                "LTE receivers, %s symbols each)\n%s\n",
-                kBatchInstances,
-                with_commas(static_cast<std::int64_t>(kBatchSymbols)).c_str(),
-                t9b.render().c_str());
-  }
-
   // --- 10. adaptive fast-forward (docs/DESIGN.md §15) ---------------------
   // Steady state: a fixed-frame LTE receiver at a long horizon, where the
   // detector certifies the 14-symbol subframe period early and the analytic
@@ -933,34 +744,6 @@ int main(int argc, char** argv) {
     w.field("incremental_s", serve_incremental_s);
     w.field("incremental_overhead", serve_incremental_s / serve_one_shot_s);
     w.field("bit_identical", serve_bit_identical);
-    w.end_object();
-    w.key("lane_kernel").begin_object();
-    w.field("lanes", static_cast<std::uint64_t>(kKernelLanes));
-    w.field("sweeps", static_cast<std::uint64_t>(kKernelSweeps));
-    w.field("scalar_run_s", kernel_scalar_s);
-    w.field("vector_run_s", kernel_vector_s);
-    w.field("vector_speedup", kernel_scalar_s / kernel_vector_s);
-    w.field("vector_lanes_per_ns", kernel_vector_lanes_per_ns);
-    w.end_object();
-    w.key("lane_sweep").begin_array();
-    for (const LaneRow& r : lane_rows) {
-      w.begin_object();
-      w.field("width", static_cast<std::uint64_t>(r.width));
-      w.field("chain_nodes", static_cast<std::uint64_t>(kLaneNodes));
-      w.field("iterations", kLaneIters);
-      w.field("reference_run_s", r.ref_s);
-      w.field("vector_run_s", r.vec_s);
-      w.field("vector_speedup", r.speedup);
-      w.field("vector_lanes_per_us", r.vec_lanes_per_us);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("opcode_dispatch").begin_object();
-    w.field("instances", static_cast<std::uint64_t>(kBatchInstances));
-    w.field("symbols", kBatchSymbols);
-    w.field("closure_run_s", opcode_closure_s);
-    w.field("opcode_run_s", opcode_tables_s);
-    w.field("opcode_speedup", opcode_closure_s / opcode_tables_s);
     w.end_object();
     w.key("adaptive").begin_object();
     w.field("steady_symbols", kAdaptiveSymbols);

@@ -103,7 +103,7 @@ int main() {
   multi.add(study::Backend::baseline());
   multi.add(study::Backend::equivalent());
   study::StudyOptions mopts;
-  mopts.repetitions = 3;  // batch_composed defaults to on
+  mopts.repetitions = 3;  // equal-structure compositions run batched
   const study::Report mrep = multi.run(mopts);
   const study::Cell& mbase = mrep.at("ca8", "baseline");
   const study::Cell& meq = mrep.at("ca8", "equivalent");

@@ -254,8 +254,6 @@ void BatchEquivalentModel::build_group(std::size_t gi, const Options& opts) {
       CompiledKey{grp.base, grp.gflags, opts.fold, opts.pad_nodes});
 
   tdg::BatchEngine::Options eng_opts;
-  eng_opts.opcode_dispatch = opts.opcode_dispatch;
-  eng_opts.vector_drain = opts.vector_drain;
   eng_opts.instances.resize(width);
   for (std::size_t i = 0; i < width; ++i) {
     tdg::BatchEngine::InstanceSinks& sinks = eng_opts.instances[i];
@@ -342,7 +340,6 @@ void BatchEquivalentModel::build_isolated(const Options& opts) {
                   opts.pad_nodes * opts.isolated_instances});
 
   tdg::Engine::Options eng_opts;
-  eng_opts.opcode_dispatch = opts.opcode_dispatch;
   if (opts.observe) {
     eng_opts.instant_sink = &runtime_->mutable_instants();
     eng_opts.usage_sink = &runtime_->mutable_usage();

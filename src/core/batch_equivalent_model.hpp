@@ -120,13 +120,6 @@ class BatchEquivalentModel {
     /// isolated remainder). Null = compile here; a serve::ProgramCache
     /// deduplicates across study cells and composed sub-batches.
     CompiledProvider* compiled = nullptr;
-    /// Evaluate loads through the programs' opcode tables
-    /// (docs/DESIGN.md §14); applies to every group engine and the
-    /// isolated remainder engine.
-    bool opcode_dispatch = true;
-    /// Drain full uniform fronts with the SoA lane kernels
-    /// (tdg::BatchEngine::Options::vector_drain).
-    bool vector_drain = true;
   };
 
   /// Grouped construction: \p groups equal-structure sub-batches (each

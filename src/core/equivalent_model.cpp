@@ -41,7 +41,6 @@ EquivalentModel::EquivalentModel(model::DescPtr desc_in,
   // Simulate everything outside the group (sharing the description).
   runtime_ = std::make_unique<model::ModelRuntime>(desc_, group_, opts.observe);
   tdg::Engine::Options eng_opts;
-  eng_opts.opcode_dispatch = opts.opcode_dispatch;
   if (opts.observe) {
     eng_opts.instant_sink = &runtime_->mutable_instants();
     eng_opts.usage_sink = &runtime_->mutable_usage();

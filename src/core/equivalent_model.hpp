@@ -52,9 +52,6 @@ class EquivalentModel {
     /// Program::compile). Null = compile here; a serve::ProgramCache makes
     /// repeated constructions of the same abstraction reuse one artifact.
     CompiledProvider* compiled = nullptr;
-    /// Evaluate loads through the program's opcode tables
-    /// (tdg::Engine::Options::opcode_dispatch; docs/DESIGN.md §14).
-    bool opcode_dispatch = true;
   };
 
   /// Abstract the functions marked in \p group (empty = all functions).

@@ -470,270 +470,4 @@ bool source_is_stream(const JsonValue& doc, std::size_t s) {
   return spec_type(member(sources[s], "earliest", where), where) == "stream";
 }
 
-// --------------------------------------------------- program documents ----
-
-namespace {
-
-void write_scalar_array(JsonWriter& w, const char* key,
-                        const std::vector<mp::Scalar>& xs) {
-  w.key(key).begin_array();
-  for (const mp::Scalar& x : xs) {
-    if (x.is_eps())
-      w.null_value();
-    else
-      w.value(x.value());
-  }
-  w.end_array();
-}
-
-template <typename T>
-void write_int_array(JsonWriter& w, const char* key, const std::vector<T>& xs) {
-  w.key(key).begin_array();
-  for (const T v : xs) w.value(static_cast<std::int64_t>(v));
-  w.end_array();
-}
-
-std::vector<mp::Scalar> read_scalar_array(const JsonValue& arr,
-                                          const std::string& where) {
-  if (!arr.is_array()) wire_fail(where, "expected an array");
-  std::vector<mp::Scalar> out;
-  out.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const JsonValue& v = arr[i];
-    out.push_back(v.is_null() ? mp::Scalar::eps()
-                              : mp::Scalar::of(v.as_int64()));
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<T> read_int_array_as(const JsonValue& arr,
-                                 const std::string& where) {
-  if (!arr.is_array()) wire_fail(where, "expected an array");
-  std::vector<T> out;
-  out.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i)
-    out.push_back(static_cast<T>(arr[i].as_int64()));
-  return out;
-}
-
-void check_csr(const std::vector<std::int32_t>& offsets, std::size_t n_nodes,
-               std::size_t n_entries, const std::string& name) {
-  if (offsets.size() != n_nodes + 1)
-    wire_fail(name, "CSR offsets must have n_nodes + 1 entries");
-  if (!offsets.empty() &&
-      (offsets.front() != 0 ||
-       offsets.back() != static_cast<std::int32_t>(n_entries)))
-    wire_fail(name, "CSR offsets must span [0, entry count]");
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i)
-    if (offsets[i] > offsets[i + 1])
-      wire_fail(name, "CSR offsets must be non-decreasing");
-}
-
-}  // namespace
-
-std::string program_to_json(const tdg::Program& p) {
-  JsonWriter w;
-  w.begin_object().field("maxev_program", kWireVersion);
-  w.field("n_nodes", static_cast<std::uint64_t>(p.n_nodes));
-  w.field("n_sources", static_cast<std::uint64_t>(p.n_sources));
-
-  write_int_array(w, "in_arc_offsets", p.in_arc_offsets);
-  write_int_array(w, "in_src", p.in_src);
-  write_int_array(w, "in_lag", p.in_lag);
-  write_int_array(w, "in_attr_source", p.in_attr_source);
-  write_int_array(w, "in_guard", p.in_guard);
-  write_int_array(w, "in_prog_off", p.in_prog_off);
-  write_int_array(w, "in_prog_len", p.in_prog_len);
-  write_scalar_array(w, "in_fixed", p.in_fixed);
-
-  write_int_array(w, "out_arc_offsets", p.out_arc_offsets);
-  write_int_array(w, "out_dst", p.out_dst);
-  write_int_array(w, "out_lag", p.out_lag);
-
-  write_int_array(w, "lagged_offsets", p.lagged_offsets);
-  write_int_array(w, "lagged_src", p.lagged_src);
-  write_int_array(w, "lagged_lag", p.lagged_lag);
-  write_int_array(w, "static_pending", p.static_pending);
-  write_int_array(w, "lagged_nodes", p.lagged_nodes);
-  write_int_array(w, "always_ready", p.always_ready);
-
-  write_int_array(w, "op_exec", p.op_exec);
-  write_scalar_array(w, "op_fixed", p.op_fixed);
-  write_int_array(w, "op_load", p.op_load);
-  w.key("op_rate").begin_array();
-  for (const double r : p.op_rate) w.value(r);
-  w.end_array();
-  write_int_array(w, "op_resource", p.op_resource);
-  w.key("op_label").begin_array();
-  for (const std::string& s : p.op_label) w.value(s);
-  w.end_array();
-
-  // Hoisted guards cannot cross the wire (no named guard functors yet);
-  // record the count so the loaded document validates against a
-  // recompiled program's shape. Loads DO cross: factory-built functors
-  // serialize as concrete specs (the tdg::ops vocabulary), hand-written
-  // lambdas as opaque stubs — the loaded program recompiles its opcode
-  // tables and runs concrete loads for real.
-  w.field("n_guards", static_cast<std::uint64_t>(p.guards.size()));
-  w.key("loads").begin_array();
-  for (const model::LoadFn& f : p.loads) write_load_spec(w, f);
-  w.end_array();
-
-  w.key("attr_dsts_by_source").begin_array();
-  for (const auto& dsts : p.attr_dsts_by_source) {
-    w.begin_array();
-    for (const tdg::NodeId n : dsts) w.value(static_cast<std::int64_t>(n));
-    w.end_array();
-  }
-  w.end_array();
-
-  w.end_object();
-  return w.str();
-}
-
-tdg::Program program_from_json(const JsonValue& doc) {
-  check_version(doc, "maxev_program");
-  tdg::Program p;
-  const auto where = [](const char* k) { return std::string("program.") + k; };
-
-  p.n_nodes =
-      static_cast<std::size_t>(member(doc, "n_nodes", "program").as_uint64());
-  p.n_sources =
-      static_cast<std::size_t>(member(doc, "n_sources", "program").as_uint64());
-
-  const auto i32s = [&](const char* k) {
-    return read_int_array_as<std::int32_t>(member(doc, k, "program"),
-                                           where(k));
-  };
-  const auto u32s = [&](const char* k) {
-    return read_int_array_as<std::uint32_t>(member(doc, k, "program"),
-                                            where(k));
-  };
-
-  p.in_arc_offsets = i32s("in_arc_offsets");
-  p.in_src = i32s("in_src");
-  p.in_lag = u32s("in_lag");
-  p.in_attr_source = i32s("in_attr_source");
-  p.in_guard = i32s("in_guard");
-  p.in_prog_off = i32s("in_prog_off");
-  p.in_prog_len = i32s("in_prog_len");
-  p.in_fixed = read_scalar_array(member(doc, "in_fixed", "program"),
-                                 where("in_fixed"));
-
-  p.out_arc_offsets = i32s("out_arc_offsets");
-  p.out_dst = i32s("out_dst");
-  p.out_lag = u32s("out_lag");
-
-  p.lagged_offsets = i32s("lagged_offsets");
-  p.lagged_src = i32s("lagged_src");
-  p.lagged_lag = u32s("lagged_lag");
-  p.static_pending = i32s("static_pending");
-  p.lagged_nodes = i32s("lagged_nodes");
-  p.always_ready = i32s("always_ready");
-
-  p.op_exec = read_int_array_as<std::uint8_t>(
-      member(doc, "op_exec", "program"), where("op_exec"));
-  p.op_fixed = read_scalar_array(member(doc, "op_fixed", "program"),
-                                 where("op_fixed"));
-  p.op_load = i32s("op_load");
-  {
-    const JsonValue& rates = member(doc, "op_rate", "program");
-    if (!rates.is_array()) wire_fail(where("op_rate"), "expected an array");
-    p.op_rate.reserve(rates.size());
-    for (std::size_t i = 0; i < rates.size(); ++i)
-      p.op_rate.push_back(rates[i].as_double());
-  }
-  p.op_resource = i32s("op_resource");
-  {
-    const JsonValue& labels = member(doc, "op_label", "program");
-    if (!labels.is_array()) wire_fail(where("op_label"), "expected an array");
-    p.op_label.reserve(labels.size());
-    for (std::size_t i = 0; i < labels.size(); ++i)
-      p.op_label.push_back(labels[i].as_string());
-  }
-
-  const std::size_t n_guards = static_cast<std::size_t>(
-      member(doc, "n_guards", "program").as_uint64());
-  p.guards.assign(n_guards, tdg::GuardFn(opaque_stub<bool>("program.guards")));
-  {
-    const JsonValue& loads = member(doc, "loads", "program");
-    if (!loads.is_array()) wire_fail(where("loads"), "expected an array");
-    p.loads.reserve(loads.size());
-    for (std::size_t i = 0; i < loads.size(); ++i)
-      p.loads.push_back(read_load_spec(loads[i], where("loads")));
-  }
-  const std::size_t n_loads = p.loads.size();
-
-  {
-    const JsonValue& by_src = member(doc, "attr_dsts_by_source", "program");
-    if (!by_src.is_array())
-      wire_fail(where("attr_dsts_by_source"), "expected an array");
-    p.attr_dsts_by_source.reserve(by_src.size());
-    for (std::size_t i = 0; i < by_src.size(); ++i)
-      p.attr_dsts_by_source.push_back(read_int_array_as<tdg::NodeId>(
-          by_src[i], where("attr_dsts_by_source")));
-  }
-
-  // Referential integrity: CSR shape, table-parallel lengths, id ranges.
-  const std::size_t n_arcs = p.in_src.size();
-  check_csr(p.in_arc_offsets, p.n_nodes, n_arcs, where("in_arc_offsets"));
-  if (p.in_lag.size() != n_arcs || p.in_attr_source.size() != n_arcs ||
-      p.in_guard.size() != n_arcs || p.in_prog_off.size() != n_arcs ||
-      p.in_prog_len.size() != n_arcs || p.in_fixed.size() != n_arcs)
-    wire_fail("program", "in_* tables must have equal lengths");
-  check_csr(p.out_arc_offsets, p.n_nodes, p.out_dst.size(),
-            where("out_arc_offsets"));
-  if (p.out_lag.size() != p.out_dst.size())
-    wire_fail("program", "out_* tables must have equal lengths");
-  check_csr(p.lagged_offsets, p.n_nodes, p.lagged_src.size(),
-            where("lagged_offsets"));
-  if (p.lagged_lag.size() != p.lagged_src.size())
-    wire_fail("program", "lagged_* tables must have equal lengths");
-  if (p.static_pending.size() != p.n_nodes)
-    wire_fail("program", "static_pending must have n_nodes entries");
-  const std::size_t n_ops = p.op_exec.size();
-  if (p.op_fixed.size() != n_ops || p.op_load.size() != n_ops ||
-      p.op_rate.size() != n_ops || p.op_resource.size() != n_ops ||
-      p.op_label.size() != n_ops)
-    wire_fail("program", "op_* tables must have equal lengths");
-  if (p.attr_dsts_by_source.size() != p.n_sources)
-    wire_fail("program", "attr_dsts_by_source must have n_sources entries");
-  const auto check_nodes = [&](const std::vector<tdg::NodeId>& xs,
-                               const char* k) {
-    for (const tdg::NodeId n : xs)
-      if (n < 0 || static_cast<std::size_t>(n) >= p.n_nodes)
-        wire_fail(where(k), "node id out of range");
-  };
-  check_nodes(p.in_src, "in_src");
-  check_nodes(p.out_dst, "out_dst");
-  check_nodes(p.lagged_src, "lagged_src");
-  check_nodes(p.lagged_nodes, "lagged_nodes");
-  check_nodes(p.always_ready, "always_ready");
-  for (const std::int32_t g : p.in_guard)
-    if (g < -1 || (g >= 0 && static_cast<std::size_t>(g) >= n_guards))
-      wire_fail(where("in_guard"), "guard index out of range");
-  for (const std::int32_t l : p.op_load)
-    if (l < -1 || (l >= 0 && static_cast<std::size_t>(l) >= n_loads))
-      wire_fail(where("op_load"), "load index out of range");
-  for (std::size_t a = 0; a < n_arcs; ++a) {
-    if (p.in_prog_off[a] < -1 || p.in_prog_len[a] < 0 ||
-        (p.in_prog_off[a] >= 0 &&
-         static_cast<std::size_t>(p.in_prog_off[a] + p.in_prog_len[a]) >
-             n_ops))
-      wire_fail(where("in_prog_off"), "op span out of range");
-  }
-
-  // Rebuild the opcode layer from the deserialized loads: concrete specs
-  // dispatch through tdg::ops tables exactly as a locally compiled
-  // program would; opaque stubs classify as kOpaqueClosure and keep their
-  // evaluate-time WireError.
-  p.compile_ops();
-  return p;
-}
-
-tdg::Program program_from_json(std::string_view text) {
-  return program_from_json(json_parse(text));
-}
-
 }  // namespace maxev::serve

@@ -9,44 +9,33 @@
 
 #include "model/desc.hpp"
 #include "model/shaping.hpp"
-#include "tdg/program.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/time.hpp"
 
 /// \file wire.hpp
 /// The versioned JSON wire format of the serve subsystem
-/// (docs/DESIGN.md §13): scenario descriptions and compiled program tables
-/// as line-transportable documents.
+/// (docs/DESIGN.md §13): scenario descriptions as line-transportable
+/// documents.
 ///
-/// Two document types, each wrapped in a version envelope:
-///  * `{"maxev_wire": 1, "desc": {...}}` — a model::ArchitectureDesc.
-///    Declarative members serialize exactly; the behavioural std::function
-///    members serialize as tagged *specs* when they wrap one of the
-///    introspectable functor types (model::ConstantOpsFn et al. for loads,
-///    the Table*/Periodic* functors below for source/sink shaping) and as
-///    `{"type": "opaque"}` otherwise. Opaque specs deserialize to throwing
-///    stubs: the loaded description is structurally faithful
-///    (model::structurally_equal) and fully usable for cache keying and
-///    graph derivation, but running it requires every behavioural spec to
-///    be concrete — the stub names the source entity when hit.
-///  * `{"maxev_program": 1, ...}` — the flat tables of a compiled
-///    tdg::Program (docs/DESIGN.md §7). Max-plus scalars serialize as
-///    their picosecond count, ε as null. Hoisted load functions serialize
-///    as the same tagged specs the desc document uses — classification is
-///    shared with the opcode layer (tdg::ops::classify_load), so every
-///    load the engines dispatch through opcode tables also crosses the
-///    wire concretely and the loaded program re-runs it for real
-///    (program_from_json rebuilds the opcode tables). Only hand-written
-///    lambdas fall back to `{"type": "opaque"}` throwing stubs, and guard
-///    functions still serialize as a count (no named guard functors
-///    exist), so those parts of a dumped program document/validate the
-///    compiled shape rather than transplanting behaviour (behaviour
-///    travels via the desc document plus recompilation — see the
-///    cache-keying rules).
+/// One document type, wrapped in a version envelope:
+/// `{"maxev_wire": 1, "desc": {...}}` — a model::ArchitectureDesc.
+/// Declarative members serialize exactly; the behavioural std::function
+/// members serialize as tagged *specs* when they wrap one of the
+/// introspectable functor types (model::ConstantOpsFn et al. for loads,
+/// the Table*/Periodic* functors below for source/sink shaping) and as
+/// `{"type": "opaque"}` otherwise. Load classification is shared with the
+/// opcode layer (tdg::ops::classify_load), so every load the engines
+/// dispatch through opcode tables also crosses the wire concretely. Opaque
+/// specs deserialize to throwing stubs: the loaded description is
+/// structurally faithful (model::structurally_equal) and fully usable for
+/// cache keying and graph derivation, but running it requires every
+/// behavioural spec to be concrete — the stub names the source entity when
+/// hit. Compiled programs never cross the wire: a receiver recompiles from
+/// the description (see the cache-keying rules).
 ///
-/// All loaders validate shape and referential integrity (CSR monotonicity,
-/// id ranges) and throw serve::WireError with the offending member named.
+/// The loader validates shape and referential integrity (id ranges) and
+/// throws serve::WireError with the offending member named.
 
 namespace maxev::serve {
 
@@ -111,21 +100,6 @@ class StreamSourceFactory {
 /// Whether the description's source \p s is stream-typed in \p doc (the
 /// session layer needs to know which sources it feeds).
 [[nodiscard]] bool source_is_stream(const JsonValue& doc, std::size_t s);
-/// @}
-
-/// \name Program documents
-/// @{
-
-/// Dump the compiled tables. Deterministic; guards as a count, loads as
-/// concrete specs where tdg::ops::classify_load can name them.
-[[nodiscard]] std::string program_to_json(const tdg::Program& p);
-
-/// Load a program document back into tables (guards and opaque loads
-/// become throwing stubs — see the file comment; concrete load specs
-/// reconstruct, and the opcode tables are recompiled). Validates CSR
-/// shape.
-[[nodiscard]] tdg::Program program_from_json(const JsonValue& doc);
-[[nodiscard]] tdg::Program program_from_json(std::string_view text);
 /// @}
 
 }  // namespace maxev::serve

@@ -185,7 +185,6 @@ core::EquivalentModel::Options eq_options(const Scenario& s,
   opts.observe = rc.observe;
   opts.expected_iterations = s.options().expected_iterations;
   opts.compiled = rc.compiled;
-  opts.opcode_dispatch = rc.opcode_dispatch;
   return opts;
 }
 
@@ -314,7 +313,6 @@ AdaptiveModel::AdaptiveModel(const Scenario& scenario, const RunConfig& config,
     : eq_(scenario.desc_ptr(), scenario.options().group,
           eq_options(scenario, config)),
       opts_(opts),
-      opcode_dispatch_(config.opcode_dispatch),
       user_cancel_(config.cancel),
       detector_(eq_.graph().node_count(),
                 {opts.max_period, opts.stable_periods}) {
@@ -803,7 +801,6 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
   tdg::Engine::Options vopts;
   vopts.instant_sink = nullptr;
   vopts.usage_sink = nullptr;
-  vopts.opcode_dispatch = opcode_dispatch_;
   tdg::Engine verify(g, prog, vopts);
   verify.seed_history(window);
   const std::uint64_t verify_frames = std::min<std::uint64_t>(period, count - f);

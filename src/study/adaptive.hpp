@@ -166,7 +166,6 @@ class AdaptiveModel final : public Model {
 
   core::EquivalentModel eq_;
   AdaptiveOptions opts_;
-  bool opcode_dispatch_ = true;
   const util::CancelToken* user_cancel_ = nullptr;
   util::CancelToken self_cancel_;
   PeriodDetector detector_;

@@ -103,7 +103,6 @@ class EquivalentBackendModel final : public Model {
     opts.observe = rc.observe;
     opts.expected_iterations = s.options().expected_iterations;
     opts.compiled = rc.compiled;
-    opts.opcode_dispatch = rc.opcode_dispatch;
     return opts;
   }
 
@@ -212,8 +211,6 @@ class BatchEquivalentBackendModel final : public Model {
     }
     opts.threads = rc.threads;
     opts.compiled = rc.compiled;
-    opts.opcode_dispatch = rc.opcode_dispatch;
-    opts.vector_drain = rc.vector_drain;
     return opts;
   }
 

@@ -170,14 +170,6 @@ struct RunConfig {
   /// instantiations of one structure share a single derive + compile.
   /// Null = compile privately. Not owned; must outlive the models.
   core::CompiledProvider* compiled = nullptr;
-  /// Evaluate loads through the compiled programs' opcode tables
-  /// (docs/DESIGN.md §14). Off = per-arc std::function dispatch; the
-  /// differential sweep in tests/test_ops.cpp runs every seed both ways.
-  bool opcode_dispatch = true;
-  /// Drain full uniform fronts with the SoA lane kernels
-  /// (tdg::BatchEngine::Options::vector_drain). Only the batched
-  /// equivalent path consults this.
-  bool vector_drain = true;
 };
 
 /// Value-semantic backend selector (a closed sum over the execution

@@ -107,7 +107,6 @@ MeasuredCell measure(const Scenario& scenario, const Backend& backend,
   RunConfig rc;
   rc.observe = opts.observe;
   rc.event_overhead_ns = opts.event_overhead_ns;
-  rc.batch_composed = opts.batch_composed;
   rc.threads = opts.group_threads;
   rc.max_events = opts.max_events;
   rc.deadline_ms = opts.deadline_ms;

@@ -37,15 +37,6 @@ struct StudyOptions {
   /// instants/usage), so downstream analyses need not re-simulate. Only
   /// meaningful with observe; costs one trace copy per cell.
   bool keep_traces = false;
-  /// Run composed scenarios with equal-structure sub-batches (>= 2
-  /// instances sharing one description + group — eligibility is decided
-  /// PER GROUP, so mixed compositions batch what they can and the
-  /// remainder runs on the merged inline engine) through the batched
-  /// equivalent model (RunConfig::batch_composed). On by default;
-  /// per-instance traces are identical either way — turn off to measure
-  /// the fully-isolated path (the bench_ablation batched-vs-isolated
-  /// ablations 5 and 6).
-  bool batch_composed = true;
   /// Worker threads for the matrix itself: cells (scenario × backend ×
   /// repetitions) measure concurrently, then the report is assembled
   /// serially in insertion order — cell order, comparisons and any thrown

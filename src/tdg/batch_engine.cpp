@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "tdg/lanes.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -75,8 +74,6 @@ void BatchEngine::init_from_program() {
   callbacks_.resize(n_nodes_ * width_);
   next_flush_.assign(n_nodes_ * width_, 0);
   retain_floor_.assign(width_, 0);
-  acc_ps_.resize(width_);
-  acc_eps_.resize(width_);
   mask_scratch_.resize(words_);
   worklist_.reserve(n_nodes_ + 16);
 
@@ -394,14 +391,12 @@ mp::Scalar BatchEngine::compute_one(Frame& f, NodeId n, std::uint64_t k,
         const auto li = static_cast<std::size_t>(prog_.op_load[j]);
         std::int64_t ops;
         std::int64_t d_ps;
-        if (opts_.opcode_dispatch && prog_.op_const_dps[j] >= 0) {
+        if (prog_.op_const_dps[j] >= 0) {
           // RateConstant: ops count and duration folded at compile time.
           ops = prog_.load_ops.a[li];
           d_ps = prog_.op_const_dps[j];
         } else {
-          ops = opts_.opcode_dispatch
-                    ? ops::eval_load(prog_.load_ops, li, attrs, k, prog_.loads)
-                    : prog_.loads[li](attrs, k);
+          ops = ops::eval_load(prog_.load_ops, li, attrs, k, prog_.loads);
           d_ps = ops <= 0 ? 0
                           : static_cast<std::int64_t>(std::llround(
                                 static_cast<double>(ops) / prog_.op_rate[j] *
@@ -451,81 +446,42 @@ void BatchEngine::compute_front(NodeId n, std::uint64_t k) {
     // The batched fast path: every instance of this node is ready and the
     // node's in-arcs are guard-free pure delays, so the (max,+) recurrence
     // is the same arithmetic in every lane — stream each shared arc slot
-    // once and sweep its weight across the contiguous lane.
+    // once and sweep its weight across the contiguous lane. Per-element
+    // mp::Scalar arithmetic accumulates directly into the node's value row,
+    // so an overflow throws the solo engine's OverflowError. Nothing is
+    // published before every lane is computed: values are only read behind
+    // known[], which finish_uniform_front sets.
     const std::int32_t a0 = prog_.in_arc_offsets[nn];
     const std::int32_t a1 = prog_.in_arc_offsets[nn + 1];
-    if (opts_.vector_drain) {
-      // Vector drain (docs/DESIGN.md §14): branch-free SoA lane kernels
-      // accumulate into the width_-sized scratch, published to the frame
-      // only when no lane's ⊗ overflowed. On a detected overflow the
-      // scratch is discarded and the front falls through to the scalar
-      // loop below, which throws the solo engine's OverflowError with
-      // nothing partially published.
-      std::int64_t* acc_ps = acc_ps_.data();
-      std::uint8_t* acc_eps = acc_eps_.data();
-      lanes::fill_eps(acc_ps, acc_eps, width_);
-      bool ovf = false;
-      for (std::int32_t s = a0; s < a1; ++s) {
-        const auto a = static_cast<std::size_t>(s);
-        const std::uint32_t lag = prog_.in_lag[a];
-        const mp::Scalar wgt = prog_.in_fixed[a];
-        if (lag > k) {
-          // Simulation origin: e ⊗ wgt = wgt, finite by construction.
-          lanes::accumulate_broadcast(acc_ps, acc_eps, wgt.value(), width_);
-        } else {
-          const Frame& sf = lag == 0 ? f : *frame_at(k - lag);
-          const std::size_t src =
-              lane(static_cast<std::size_t>(prog_.in_src[a]), 0);
-          ovf |= lanes::accumulate(acc_ps, acc_eps, &sf.value_ps[src],
-                                   &sf.value_eps[src], wgt.value(), width_);
-        }
+    const std::size_t base = lane(nn, 0);
+    for (std::size_t i = 0; i < width_; ++i)
+      set_frame_value(f, base + i, mp::Scalar::eps());
+    for (std::int32_t s = a0; s < a1; ++s) {
+      const auto a = static_cast<std::size_t>(s);
+      const std::uint32_t lag = prog_.in_lag[a];
+      const mp::Scalar wgt = prog_.in_fixed[a];
+      if (lag > k) {
+        const mp::Scalar v = mp::Scalar::e() * wgt;  // simulation origin
+        for (std::size_t i = 0; i < width_; ++i)
+          set_frame_value(f, base + i, frame_value(f, base + i) + v);
+      } else {
+        const Frame& sf = lag == 0 ? f : *frame_at(k - lag);
+        const std::size_t src =
+            lane(static_cast<std::size_t>(prog_.in_src[a]), 0);
+        for (std::size_t i = 0; i < width_; ++i)
+          set_frame_value(
+              f, base + i,
+              frame_value(f, base + i) + frame_value(sf, src + i) * wgt);
       }
-      if (!ovf) {
-        MAXEV_FAULT_POINT("engine.vector_flush");
-        arc_terms_ += static_cast<std::uint64_t>(a1 - a0) * width_;
-        computed_ += width_;
-        std::memcpy(&f.value_ps[lane(nn, 0)], acc_ps,
-                    width_ * sizeof(std::int64_t));
-        std::memcpy(&f.value_eps[lane(nn, 0)], acc_eps, width_);
-        finish_uniform_front(f, n, k);
-        return;
-      }
-      // fall through: mask_scratch_ still holds the full front.
-    } else {
-      // Reference lane loop (the pre-opcode drain, kept selectable as the
-      // ablation baseline): per-element mp::Scalar arithmetic accumulated
-      // directly into the node's value row.
-      const std::size_t base = lane(nn, 0);
-      for (std::size_t i = 0; i < width_; ++i)
-        set_frame_value(f, base + i, mp::Scalar::eps());
-      for (std::int32_t s = a0; s < a1; ++s) {
-        const auto a = static_cast<std::size_t>(s);
-        const std::uint32_t lag = prog_.in_lag[a];
-        const mp::Scalar wgt = prog_.in_fixed[a];
-        if (lag > k) {
-          const mp::Scalar v = mp::Scalar::e() * wgt;  // simulation origin
-          for (std::size_t i = 0; i < width_; ++i)
-            set_frame_value(f, base + i, frame_value(f, base + i) + v);
-        } else {
-          const Frame& sf = lag == 0 ? f : *frame_at(k - lag);
-          const std::size_t src =
-              lane(static_cast<std::size_t>(prog_.in_src[a]), 0);
-          for (std::size_t i = 0; i < width_; ++i)
-            set_frame_value(f, base + i,
-                            frame_value(f, base + i) +
-                                frame_value(sf, src + i) * wgt);
-        }
-        arc_terms_ += width_;
-      }
-      computed_ += width_;
-      finish_uniform_front(f, n, k);
-      return;
+      arc_terms_ += width_;
     }
+    computed_ += width_;
+    finish_uniform_front(f, n, k);
+    return;
   }
 
-  // Partial front, or a node with guards / execute segments (or a vector
-  // drain that detected overflow): evaluate each ready instance the scalar
-  // way (still one worklist pop for the whole front, with the arc tables
+  // Partial front, or a node with guards / execute segments: evaluate each
+  // ready instance the scalar way (still one worklist pop for the whole front, with the arc tables
   // hot across instances).
   for (std::size_t w = 0; w < words_; ++w) {
     std::uint64_t bits = mask_scratch_[w];

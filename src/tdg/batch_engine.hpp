@@ -75,17 +75,6 @@ class BatchEngine {
     /// construction, exactly as tdg::Engine::Options::expected_iterations
     /// does for a solo run.
     std::size_t expected_iterations = 0;
-    /// Evaluate loads through the program's opcode tables (tdg::ops,
-    /// docs/DESIGN.md §14) instead of calling the hoisted std::function
-    /// per arc term. Identical arithmetic by construction — the toggle
-    /// exists for the differential equivalence sweep and the ablation
-    /// baseline, mirroring tdg::Engine::Options::opcode_dispatch.
-    bool opcode_dispatch = true;
-    /// Drain full uniform fronts with the branch-free SoA lane kernels
-    /// (tdg/lanes.hpp) instead of the per-element mp::Scalar reference
-    /// loop. Identical values lane for lane; false selects the reference
-    /// loop, the baseline Ablation 9 measures the vector drain against.
-    bool vector_drain = true;
   };
 
   /// Compile \p g once and prepare the shared arena for the batch — the
@@ -200,7 +189,7 @@ class BatchEngine {
   struct Frame {
     /// Computed instants in struct-of-arrays form (docs/DESIGN.md §14):
     /// finite picosecond payload and a one-byte ε flag per lane element,
-    /// so the vector drain streams plain integer rows. A (payload, flag)
+    /// so lane rows are plain contiguous integers. A (payload, flag)
     /// pair is only ever read behind a known[] check, exactly as the old
     /// mp::Scalar column was.
     std::vector<std::int64_t> value_ps;   // n_nodes * width
@@ -245,8 +234,8 @@ class BatchEngine {
   /// Compute every ready instance of (n, k) in one pass (the front).
   void compute_front(NodeId n, std::uint64_t k);
   /// Publish a completed full uniform front: bulk known-marking, per-lane
-  /// observers, batched dependent resolution (shared by the vector and
-  /// reference drains — values must already sit in the node's row).
+  /// observers, batched dependent resolution (values must already sit in
+  /// the node's row).
   void finish_uniform_front(Frame& f, NodeId n, std::uint64_t k);
   /// Compute one instance the scalar way (guards/execute segments, or a
   /// partial front).
@@ -306,12 +295,6 @@ class BatchEngine {
   std::vector<std::int32_t> op_label_;
 
   std::vector<std::uint64_t> retain_floor_;  // per instance
-  /// Vector-drain accumulator scratch (width_, SoA like the value rows).
-  /// The kernels compute here, never into the frame: a detected overflow
-  /// discards the scratch and re-runs the front through the scalar path,
-  /// so the thrown OverflowError leaves nothing partially published.
-  std::vector<std::int64_t> acc_ps_;
-  std::vector<std::uint8_t> acc_eps_;
   std::vector<std::uint64_t> mask_scratch_;  // front mask snapshot (words_)
 
   std::uint64_t computed_ = 0;

@@ -299,15 +299,13 @@ void Engine::compute(NodeId n, std::uint64_t k) {
         const auto li = static_cast<std::size_t>(prog_.op_load[j]);
         std::int64_t ops;
         std::int64_t d_ps;
-        if (opts_.opcode_dispatch && prog_.op_const_dps[j] >= 0) {
+        if (prog_.op_const_dps[j] >= 0) {
           // RateConstant: both the ops count and the whole duration were
           // folded at compile time (Program::compile_ops).
           ops = prog_.load_ops.a[li];
           d_ps = prog_.op_const_dps[j];
         } else {
-          ops = opts_.opcode_dispatch
-                    ? ops::eval_load(prog_.load_ops, li, attrs, k, prog_.loads)
-                    : prog_.loads[li](attrs, k);
+          ops = ops::eval_load(prog_.load_ops, li, attrs, k, prog_.loads);
           // ResourceDesc::duration_for(ops), inlined with the pre-resolved
           // rate constant (identical arithmetic, hence identical instants).
           d_ps = ops <= 0 ? 0

@@ -67,12 +67,6 @@ class Engine {
     /// core::EquivalentModel::Options / study::ScenarioOptions; 0 = no
     /// pre-sizing.
     std::size_t expected_iterations = 0;
-    /// Evaluate loads through the program's opcode tables (tdg::ops,
-    /// docs/DESIGN.md §14) instead of calling the hoisted std::function
-    /// per arc term. Identical arithmetic by construction — this toggle
-    /// exists for the differential equivalence sweep (tests/test_ops.cpp)
-    /// and the closure-dispatch ablation baseline.
-    bool opcode_dispatch = true;
   };
 
   /// \pre g.frozen()

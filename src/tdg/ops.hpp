@@ -19,8 +19,8 @@
 /// Contract: `eval_load` duplicates the functor arithmetic of
 /// model/load.cpp *exactly* — same clamps, same llround, same wraparound
 /// behaviour — so opcode dispatch and closure dispatch produce
-/// bit-identical operation counts (pinned by tests/test_ops.cpp's
-/// differential sweep). Closures that are not factory-built named
+/// bit-identical operation counts (pinned per kind on an input grid by
+/// tests/test_ops.cpp). Closures that are not factory-built named
 /// functors classify as kOpaqueClosure and fall back to the hoisted
 /// std::function, preserving behaviour for arbitrary lambdas.
 

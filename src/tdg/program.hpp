@@ -90,7 +90,7 @@ struct Program {
   // The hoisted loads compiled into enum-dispatched table entries: the
   // engines' hot loops switch on plain integers and only fall back to the
   // std::function side table for kOpaqueClosure rows. Built by
-  // compile_ops() — called from compile() and after wire deserialization.
+  // compile_ops(), called from compile().
   ops::LoadTable load_ops;
   /// Per segment op: ops::Kind (kFixedWeight for fixed entries, the load's
   /// kind for execute entries).

@@ -22,8 +22,6 @@
 /// Fault-point catalog (docs/DESIGN.md §12 keeps the authoritative list):
 ///   kernel.dispatch      sim::Kernel event dispatch, between pop and resume
 ///   engine.flush         tdg::Engine/BatchEngine deferred-front drains
-///   engine.vector_flush  tdg::BatchEngine vector drain, before a computed
-///                        full uniform front is published to the frame
 ///   trace.append         trace::UsageTrace::push
 ///   pool.submit          util::ThreadPool::submit
 ///   pool.parallel_for    util::ThreadPool::parallel_for entry

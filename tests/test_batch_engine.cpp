@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,8 @@
 #include "lte/receiver.hpp"
 #include "model/baseline.hpp"
 #include "study/study.hpp"
+#include "tdg/batch_engine.hpp"
+#include "tdg/builder.hpp"
 #include "util/error.hpp"
 
 /// The batched multi-instance path (docs/DESIGN.md §9): composed scenarios
@@ -74,11 +78,14 @@ void expect_clones_match_solo(const Scenario& composed,
   }
 }
 
-/// The batched and the isolated (merged-graph) composed runs must produce
-/// identical full trace sets and identical completion times.
+/// The batched (drained by \p threads workers) and the isolated
+/// (merged-graph) composed runs must produce identical full trace sets and
+/// identical completion times.
 void expect_batched_matches_isolated(const Scenario& composed,
-                                     const char* context = "") {
+                                     const char* context = "",
+                                     int threads = 1) {
   RunConfig batched_rc;
+  batched_rc.threads = threads;
   RunConfig isolated_rc;
   isolated_rc.batch_composed = false;
   auto batched = Backend::equivalent().instantiate(composed, batched_rc);
@@ -628,43 +635,10 @@ TEST(HeterogeneousBatchTest, InlineResumeClosesTheKernelEventGap) {
 
 // ------------------------------------------------- Vector drain widths
 
-/// The SoA vector drain (tdg/lanes.hpp, docs/DESIGN.md §14) against the
-/// per-element mp::Scalar reference loop: identical traces, completion
-/// time and every counter, at the given batch width and drain thread
-/// count. The width walks vector-friendly lanes (2, 4, 8) and the
-/// remainder tails (1, 5, 7) that fall through to the kernels' scalar
-/// tail handling.
-void expect_vector_matches_reference(const Scenario& composed,
-                                     const char* context, int threads = 1) {
-  RunConfig ref_rc;
-  ref_rc.vector_drain = false;
-  RunConfig vec_rc;
-  vec_rc.threads = threads;
-  auto ref = Backend::equivalent().instantiate(composed, ref_rc);
-  auto vec = Backend::equivalent().instantiate(composed, vec_rc);
-  ASSERT_TRUE(ref->run().completed) << context;
-  ASSERT_TRUE(vec->run().completed) << context;
-
-  EXPECT_EQ(trace::compare_instants(ref->instants(), vec->instants()),
-            std::nullopt)
-      << context;
-  EXPECT_EQ(trace::compare_instants(vec->instants(), ref->instants()),
-            std::nullopt)
-      << context;
-  trace::UsageTraceSet ru = ref->usage();
-  trace::UsageTraceSet vu = vec->usage();
-  ru.sort_all();
-  vu.sort_all();
-  EXPECT_EQ(trace::compare_usage(ru, vu), std::nullopt) << context;
-  EXPECT_EQ(ref->end_time(), vec->end_time()) << context;
-  EXPECT_EQ(ref->relation_events(), vec->relation_events()) << context;
-  EXPECT_EQ(ref->instances_computed(), vec->instances_computed()) << context;
-  EXPECT_EQ(ref->arc_terms_evaluated(), vec->arc_terms_evaluated()) << context;
-  EXPECT_EQ(ref->kernel_stats().events_scheduled,
-            vec->kernel_stats().events_scheduled)
-      << context;
-}
-
+// Full uniform fronts drain as one mp::Scalar loop over the contiguous lane
+// (docs/DESIGN.md §14). The widths walk the lane loop (2, 4, 5, 7, 8) and
+// width 1, which never forms a full front and computes per instance;
+// every width must reproduce the solo tdg::Engine and the merged graph.
 TEST(VectorDrainTest, LaneWidthInvariance) {
   gen::DidacticConfig cfg;
   cfg.tokens = 40;
@@ -672,11 +646,8 @@ TEST(VectorDrainTest, LaneWidthInvariance) {
   for (const std::size_t n : {1u, 2u, 4u, 5u, 7u, 8u}) {
     const Scenario composed = compose_clones(desc, n);
     const std::string ctx = "didactic width " + std::to_string(n);
-    // Against the reference loop at the same width, and — via the solo
-    // helper, which runs the default (vector) configuration — against a
-    // solo tdg::Engine run of the shared description.
-    expect_vector_matches_reference(composed, ctx.c_str());
     expect_clones_match_solo(composed, desc, {}, ctx.c_str());
+    expect_batched_matches_isolated(composed, ctx.c_str());
   }
 }
 
@@ -690,15 +661,16 @@ TEST(VectorDrainTest, RandomArchWidths) {
       const Scenario composed = compose_clones(desc, n);
       const std::string ctx =
           "seed " + std::to_string(seed) + " width " + std::to_string(n);
-      expect_vector_matches_reference(composed, ctx.c_str());
+      expect_clones_match_solo(composed, desc, {}, ctx.c_str());
+      expect_batched_matches_isolated(composed, ctx.c_str());
     }
   }
 }
 
 TEST(VectorDrainTest, ComposesWithGroupThreads) {
   // Stacked levers: two equal-structure sub-batches drained by worker
-  // threads, each sub-batch's uniform fronts going through the vector
-  // kernels. Traces must stay those of the serial reference loop.
+  // threads, each sub-batch's uniform fronts going through the lane loop.
+  // Traces must stay those of the merged graph.
   gen::DidacticConfig ca;
   ca.tokens = 40;
   gen::DidacticConfig cb;
@@ -714,8 +686,61 @@ TEST(VectorDrainTest, ComposesWithGroupThreads) {
   ASSERT_EQ(mixed.batch_groups().size(), 2u);
   for (const int threads : {2, 8}) {
     const std::string ctx = "ab44 threads " + std::to_string(threads);
-    expect_vector_matches_reference(mixed, ctx.c_str(), threads);
+    expect_batched_matches_isolated(mixed, ctx.c_str(), threads);
   }
+}
+
+// A full uniform front computes every lane from its own feeds (clone
+// compositions feed identical lanes, so only a direct engine shows a lane
+// mix-up). One lane's ⊗ overflowing throws the solo engine's
+// OverflowError and publishes no lane of the front: no instance may
+// observe a value its batch siblings don't have.
+TEST(BatchEngineTest, UniformFrontOverflowPublishesNoLane) {
+  tdg::GraphBuilder b;
+  b.input("u").instant("a").instant("b");
+  b.arc("u", "a").fixed(Duration::ns(1));
+  b.arc("a", "b").fixed(Duration::ns(2));
+  tdg::Graph g = b.take();
+  g.freeze();
+
+  tdg::BatchEngine::Options opts;
+  opts.instances.resize(4);  // full-width uniform fronts
+
+  // Control: distinct finite feeds, each lane computed from its own.
+  tdg::BatchEngine ok(g, opts);
+  for (std::size_t inst = 0; inst < 4; ++inst)
+    ok.set_external(inst, 0, 0,
+                    TimePoint::at_ps(10 * static_cast<std::int64_t>(inst)));
+  EXPECT_TRUE(ok.flush());
+  for (std::size_t inst = 0; inst < 4; ++inst) {
+    const std::int64_t u = 10 * static_cast<std::int64_t>(inst);
+    EXPECT_EQ(ok.value(inst, 1, 0), TimePoint::at_ps(u + 1000));
+    EXPECT_EQ(ok.value(inst, 2, 0), TimePoint::at_ps(u + 3000));
+  }
+  EXPECT_EQ(ok.instances_computed(), 8u);
+
+  tdg::BatchEngine eng(g, opts);
+  for (std::size_t inst = 0; inst < 4; ++inst) {
+    const std::int64_t ps =
+        inst == 2 ? std::numeric_limits<std::int64_t>::max() - 10
+                  : 10 * static_cast<std::int64_t>(inst);
+    eng.set_external(inst, 0, 0, TimePoint::at_ps(ps));
+  }
+  try {
+    (void)eng.flush();
+    FAIL() << "expected OverflowError";
+  } catch (const OverflowError& e) {
+    EXPECT_NE(std::string(e.what()).find("max-plus otimes overflow"),
+              std::string::npos)
+        << e.what();
+  }
+  for (std::size_t inst = 0; inst < 4; ++inst) {
+    for (const tdg::NodeId n : {1, 2}) {
+      EXPECT_EQ(eng.value(inst, n, 0), std::nullopt)
+          << "inst " << inst << " node " << n;
+    }
+  }
+  EXPECT_EQ(eng.instances_computed(), 0u);
 }
 
 TEST(BatchEngineTest, MergedDescriptionMismatchRejected) {

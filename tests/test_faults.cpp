@@ -9,9 +9,6 @@
 #include "model/shaping.hpp"
 #include "sim/kernel.hpp"
 #include "study/study.hpp"
-#include "tdg/batch_engine.hpp"
-#include "tdg/builder.hpp"
-#include "tdg/graph.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -133,59 +130,6 @@ TEST_F(FaultInjectionTest, PoolFaultPropagatesFromAParallelStudy) {
   FaultInjector::reset();
   const study::Report rep = st.run(opts);
   EXPECT_FALSE(rep.at("didactic", "equivalent").failed);
-}
-
-TEST_F(FaultInjectionTest, VectorFlushFaultPublishesNoPartialLane) {
-  // engine.vector_flush sits in tdg::BatchEngine's vector drain after the
-  // whole uniform front is computed into lane scratch but before any of
-  // it is published to the shared frame. A fault there must leave every
-  // lane of the front invisible — no instance may observe a value its
-  // batch siblings don't have (docs/DESIGN.md §14's no-partial-publish
-  // half of the bit-identity contract).
-  tdg::GraphBuilder b;
-  b.input("u").instant("a").instant("b");
-  b.arc("u", "a").fixed(Duration::ns(1));
-  b.arc("a", "b").fixed(Duration::ns(2));
-  tdg::Graph g = b.take();
-  g.freeze();
-
-  const auto feed = [](tdg::BatchEngine& eng) {
-    for (std::size_t inst = 0; inst < 4; ++inst)
-      eng.set_external(inst, 0, 0,
-                       TimePoint::at_ps(10 * static_cast<std::int64_t>(inst)));
-  };
-  tdg::BatchEngine::Options opts;
-  opts.instances.resize(4);  // full-width uniform fronts -> vector drain
-  tdg::BatchEngine eng(g, opts);
-  feed(eng);
-  FaultInjector::arm("engine.vector_flush", 1);
-  EXPECT_THROW((void)eng.flush(), util::FaultInjectedError);
-  EXPECT_EQ(FaultInjector::hits("engine.vector_flush"), 1u);
-  // Nothing partially published: every lane of both computed nodes is
-  // still unknown for every instance.
-  for (std::size_t inst = 0; inst < 4; ++inst) {
-    for (const tdg::NodeId n : {1, 2}) {
-      EXPECT_EQ(eng.value(inst, n, 0), std::nullopt)
-          << "inst " << inst << " node " << n;
-    }
-  }
-  EXPECT_EQ(eng.instances_computed(), 0u);
-
-  // The injector quiet, a fresh engine over the same graph and feeds
-  // completes with the expected per-lane values.
-  FaultInjector::reset();
-  tdg::BatchEngine::Options ok_opts;
-  ok_opts.instances.resize(4);
-  tdg::BatchEngine ok(g, ok_opts);
-  feed(ok);
-  EXPECT_TRUE(ok.flush());
-  for (std::size_t inst = 0; inst < 4; ++inst) {
-    const std::int64_t u = 10 * static_cast<std::int64_t>(inst);
-    ASSERT_TRUE(ok.value(inst, 1, 0).has_value());
-    EXPECT_EQ(*ok.value(inst, 1, 0), TimePoint::at_ps(u + 1000));
-    ASSERT_TRUE(ok.value(inst, 2, 0).has_value());
-    EXPECT_EQ(*ok.value(inst, 2, 0), TimePoint::at_ps(u + 3000));
-  }
 }
 
 TEST_F(FaultInjectionTest, AdaptiveFastForwardFaultFallsBackToSimulation) {

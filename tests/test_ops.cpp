@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,22 +9,18 @@
 #include "core/compiled.hpp"
 #include "gen/didactic.hpp"
 #include "gen/random_arch.hpp"
-#include "maxplus/scalar.hpp"
 #include "model/desc.hpp"
 #include "model/load.hpp"
-#include "serve/wire.hpp"
 #include "study/study.hpp"
-#include "tdg/lanes.hpp"
 #include "tdg/ops.hpp"
 
 /// The opcode layer (docs/DESIGN.md §14): factory-built load closures
-/// compiled into enum-dispatched tables (tdg::ops), drained lane-wide by
-/// the branch-free kernels (tdg/lanes.hpp). The property under test is
-/// bit-identity: opcode dispatch and the SoA vector drain must reproduce
-/// the hoisted-std::function scalar path exactly — per opcode kind on
-/// exhaustive input grids, per lane element against the mp::Scalar
-/// reference semantics, and end to end across the random-architecture
-/// differential sweep at study level (both toggles, threads 1/2/8).
+/// compiled into enum-dispatched tables (tdg::ops), the engines' one load
+/// path. The property under test is bit-identity: opcode dispatch must
+/// reproduce the hoisted std::function exactly — per opcode kind on
+/// exhaustive input grids — and the batched executor must reproduce the
+/// merged-graph executor end to end across the random-architecture
+/// differential sweep at study level (threads 1/2/8).
 
 namespace maxev {
 namespace {
@@ -150,105 +145,6 @@ TEST(OpsEvalTest, EveryKindMatchesItsClosureOnAGrid) {
   }
 }
 
-// ------------------------------------------------------------ lane kernels ----
-
-/// The mp::Scalar reference for one lane element of acc ⊕= (src ⊗ w).
-mp::Scalar ref_step(mp::Scalar acc, mp::Scalar src, std::int64_t w) {
-  return acc + src * mp::Scalar::of(w);
-}
-
-TEST(LaneKernelTest, AccumulateMatchesScalarReferenceWithEpsLanes) {
-  // Every tail length the AVX2 path can see, plus a couple of long lanes.
-  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 16u, 33u}) {
-    std::vector<std::int64_t> acc_ps(n), src_ps(n);
-    std::vector<std::uint8_t> acc_eps(n), src_eps(n);
-    std::vector<mp::Scalar> ref(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Deterministic mix of ε and finite lanes on both sides, including
-      // ties (src + w == acc) which must keep the equal value either way.
-      const bool ae = i % 3 == 0;
-      const bool se = i % 4 == 1;
-      acc_ps[i] = ae ? 0 : static_cast<std::int64_t>(100 * i);
-      acc_eps[i] = ae ? 1 : 0;
-      src_ps[i] = se ? 0 : static_cast<std::int64_t>(100 * i) - 17;
-      src_eps[i] = se ? 1 : 0;
-      ref[i] = ae ? mp::Scalar::eps() : mp::Scalar::of(acc_ps[i]);
-    }
-    for (const std::int64_t w : {0, 17, 1000}) {
-      ASSERT_FALSE(tdg::lanes::accumulate(acc_ps.data(), acc_eps.data(),
-                                          src_ps.data(), src_eps.data(), w, n));
-      for (std::size_t i = 0; i < n; ++i) {
-        const mp::Scalar src = src_eps[i] != 0 ? mp::Scalar::eps()
-                                               : mp::Scalar::of(src_ps[i]);
-        ref[i] = ref_step(ref[i], src, w);
-        EXPECT_EQ(acc_eps[i] != 0, ref[i].is_eps()) << "n=" << n << " i=" << i;
-        if (!ref[i].is_eps()) {
-          EXPECT_EQ(acc_ps[i], ref[i].value()) << "n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(LaneKernelTest, BroadcastMatchesScalarReference) {
-  for (const std::size_t n : {1u, 4u, 5u, 9u}) {
-    std::vector<std::int64_t> acc_ps(n);
-    std::vector<std::uint8_t> acc_eps(n);
-    std::vector<mp::Scalar> ref(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool ae = i % 2 == 0;
-      acc_ps[i] = ae ? 0 : static_cast<std::int64_t>(40 * i);
-      acc_eps[i] = ae ? 1 : 0;
-      ref[i] = ae ? mp::Scalar::eps() : mp::Scalar::of(acc_ps[i]);
-    }
-    const std::int64_t v = 100;
-    tdg::lanes::accumulate_broadcast(acc_ps.data(), acc_eps.data(), v, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ref[i] = ref[i] + mp::Scalar::of(v);
-      ASSERT_FALSE(ref[i].is_eps());
-      EXPECT_EQ(acc_eps[i], 0);
-      EXPECT_EQ(acc_ps[i], ref[i].value()) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(LaneKernelTest, EpsSourceLeavesAccumulatorUntouched) {
-  std::vector<std::int64_t> acc_ps = {10, 0, 30, 40, 50};
-  std::vector<std::uint8_t> acc_eps = {0, 1, 0, 0, 0};
-  const std::vector<std::int64_t> src_ps(5, 0);
-  const std::vector<std::uint8_t> src_eps(5, 1);  // all-ε source lane
-  ASSERT_FALSE(tdg::lanes::accumulate(acc_ps.data(), acc_eps.data(),
-                                      src_ps.data(), src_eps.data(), 999, 5));
-  EXPECT_EQ(acc_ps, (std::vector<std::int64_t>{10, 0, 30, 40, 50}));
-  EXPECT_EQ(acc_eps, (std::vector<std::uint8_t>{0, 1, 0, 0, 0}));
-}
-
-TEST(LaneKernelTest, FiniteOverflowIsDetected) {
-  for (const std::size_t n : {1u, 4u, 5u, 8u}) {
-    for (std::size_t hot = 0; hot < n; ++hot) {
-      std::vector<std::int64_t> acc_ps(n, 0), src_ps(n, 0);
-      std::vector<std::uint8_t> acc_eps(n, 1), src_eps(n, 0);
-      src_ps[hot] = std::numeric_limits<std::int64_t>::max() - 1;
-      EXPECT_TRUE(tdg::lanes::accumulate(acc_ps.data(), acc_eps.data(),
-                                         src_ps.data(), src_eps.data(), 2, n))
-          << "n=" << n << " hot=" << hot;
-    }
-  }
-}
-
-TEST(LaneKernelTest, EpsLaneOverflowIsIgnored) {
-  // ε ⊗ w is ε whatever w is: a wrapping add on an ε lane must not be
-  // reported (mp::Scalar would never have performed it).
-  std::vector<std::int64_t> acc_ps(4, 5), src_ps(4, 0);
-  std::vector<std::uint8_t> acc_eps(4, 0), src_eps(4, 1);
-  src_ps[2] = std::numeric_limits<std::int64_t>::max();
-  EXPECT_FALSE(tdg::lanes::accumulate(acc_ps.data(), acc_eps.data(),
-                                      src_ps.data(), src_eps.data(),
-                                      std::numeric_limits<std::int64_t>::max(),
-                                      4));
-  EXPECT_EQ(acc_ps, (std::vector<std::int64_t>{5, 5, 5, 5}));
-}
-
 // --------------------------------------------------- program opcode tables ----
 
 model::ArchitectureDesc constant_load_desc() {
@@ -347,63 +243,6 @@ TEST(ProgramOpsTest, OpaqueLambdaFallsBackAndIsCounted) {
   EXPECT_TRUE(saw_constant);
 }
 
-// ------------------------------------------------------------- wire round ----
-
-TEST(WireOpsTest, ConcreteLoadsSurviveProgramRoundTrip) {
-  const core::CompiledPtr c = compile_desc(gen::make_didactic({}));
-  const tdg::Program& p = c->program;
-  const tdg::Program back = serve::program_from_json(serve::program_to_json(p));
-
-  // The loaded program recompiled its opcode tables: same classification,
-  // same const folds, and the concrete loads evaluate identically.
-  EXPECT_EQ(back.load_ops.kind, p.load_ops.kind);
-  EXPECT_EQ(back.load_ops.opaque, p.load_ops.opaque);
-  EXPECT_EQ(back.op_kind, p.op_kind);
-  EXPECT_EQ(back.op_const_dps, p.op_const_dps);
-  model::TokenAttrs attrs;
-  attrs.size = 42;
-  attrs.params = {1.5, -2.0, 0.0, 7.25};
-  for (std::size_t i = 0; i < p.loads.size(); ++i) {
-    if (static_cast<Kind>(p.load_ops.kind[i]) == Kind::kOpaqueClosure)
-      continue;
-    for (const std::uint64_t k : {0ull, 1ull, 5ull})
-      EXPECT_EQ(back.loads[i](attrs, k), p.loads[i](attrs, k))
-          << "load " << i << " k=" << k;
-  }
-}
-
-TEST(WireOpsTest, OpaqueLoadBecomesThrowingStubButTablesRecompile) {
-  model::ArchitectureDesc d = constant_load_desc();
-  // The opaque-augmented description from the program-ops test.
-  const auto ch2 = d.add_rendezvous("in2");
-  const auto out2 = d.add_rendezvous("out2");
-  const auto f2 = d.add_function("g", static_cast<model::ResourceId>(
-                                      d.resources().size() - 1));
-  d.fn_read(f2, ch2);
-  d.fn_execute(f2, [](const model::TokenAttrs& a, std::uint64_t) {
-    return a.size + 1;
-  });
-  d.fn_write(f2, out2);
-  d.add_source("src2", ch2, 3,
-               [](std::uint64_t k) {
-                 return TimePoint::at_ps(static_cast<std::int64_t>(k) * 10);
-               },
-               [](std::uint64_t) { return model::TokenAttrs{}; });
-  d.add_sink("sink2", out2);
-  d.validate();
-
-  const core::CompiledPtr c = compile_desc(std::move(d));
-  const tdg::Program back =
-      serve::program_from_json(serve::program_to_json(c->program));
-  EXPECT_EQ(back.load_ops.opaque, 1u);
-  for (std::size_t i = 0; i < back.loads.size(); ++i) {
-    if (static_cast<Kind>(back.load_ops.kind[i]) == Kind::kOpaqueClosure) {
-      EXPECT_THROW((void)back.loads[i](model::TokenAttrs{}, 0),
-                   serve::WireError);
-    }
-  }
-}
-
 // ------------------------------------------------------ differential sweep ----
 
 using study::Backend;
@@ -417,24 +256,22 @@ Scenario clones(const model::DescPtr& desc, std::size_t n) {
   return study::compose("clones", parts);
 }
 
-/// Run \p scenario on the equivalent backend with the given dispatch
-/// configuration.
-std::unique_ptr<study::Model> run_with(const Scenario& scenario,
-                                               bool opcode, bool vector,
-                                               int threads) {
+/// Run \p scenario on the equivalent backend: batched (the default) or on
+/// the merged graph, the reference executor, with \p threads drain workers.
+std::unique_ptr<study::Model> run_with(const Scenario& scenario, bool batched,
+                                       int threads) {
   RunConfig rc;
-  rc.opcode_dispatch = opcode;
-  rc.vector_drain = vector;
+  rc.batch_composed = batched;
   rc.threads = threads;
   auto m = Backend::equivalent().instantiate(scenario, rc);
   EXPECT_TRUE(m->run().completed);
   return m;
 }
 
-/// Byte-compare everything observable: instant traces both directions,
-/// sorted usage, completion time, and every cost/kernel counter.
-void expect_identical(const study::Model& ref,
-                      const study::Model& got, const std::string& ctx) {
+/// What every executor agrees on: instant traces both directions, sorted
+/// usage, completion time, relation events and instances computed.
+void expect_same_results(const study::Model& ref, const study::Model& got,
+                         const std::string& ctx) {
   EXPECT_EQ(trace::compare_instants(ref.instants(), got.instants()),
             std::nullopt)
       << ctx;
@@ -449,6 +286,12 @@ void expect_identical(const study::Model& ref,
   EXPECT_EQ(ref.end_time(), got.end_time()) << ctx;
   EXPECT_EQ(ref.relation_events(), got.relation_events()) << ctx;
   EXPECT_EQ(ref.instances_computed(), got.instances_computed()) << ctx;
+}
+
+/// What only the same executor reproduces: arc terms and kernel counters.
+/// Worker threads must not move them.
+void expect_same_costs(const study::Model& ref, const study::Model& got,
+                       const std::string& ctx) {
   EXPECT_EQ(ref.arc_terms_evaluated(), got.arc_terms_evaluated()) << ctx;
   EXPECT_EQ(ref.kernel_stats().events_scheduled,
             got.kernel_stats().events_scheduled)
@@ -459,12 +302,26 @@ void expect_identical(const study::Model& ref,
       << ctx;
 }
 
+/// The batched run at threads 1/2/8 against the merged-graph run (results)
+/// and against the serial batched run (costs).
+void expect_batched_matches_merged(const Scenario& scenario,
+                                   const std::string& ctx) {
+  const auto merged = run_with(scenario, false, 1);
+  const auto serial = run_with(scenario, true, 1);
+  expect_same_results(*merged, *serial, ctx + " t1");
+  for (const int threads : {2, 8}) {
+    const std::string tctx = ctx + " t" + std::to_string(threads);
+    const auto got = run_with(scenario, true, threads);
+    expect_same_results(*merged, *got, tctx);
+    expect_same_costs(*serial, *got, tctx);
+  }
+}
+
 // The sweep: 25 random architectures (FIFOs, slow sinks, periodic and
 // second sources, multi-rate producer bundles), each batch-composed and
-// run with every (opcode_dispatch, vector_drain) combination and with the
-// per-group drain threaded, all compared against the pure closure/scalar
-// reference bit for bit.
-TEST(DifferentialSweepTest, OpcodeAndVectorMatchClosureReference) {
+// run serially and with the per-group drain threaded, all compared bit for
+// bit against the merged-graph executor.
+TEST(DifferentialSweepTest, BatchedMatchesMergedReference) {
   gen::RandomArchConfig cfg;
   cfg.tokens = 30;
   cfg.multi_rate_producer_probability = 0.4;
@@ -472,26 +329,13 @@ TEST(DifferentialSweepTest, OpcodeAndVectorMatchClosureReference) {
     const auto desc = model::share(gen::make_random_architecture(seed, cfg));
     const Scenario composed = clones(desc, 4);
     ASSERT_TRUE(composed.batchable());
-    const std::string ctx = "seed " + std::to_string(seed);
-
-    const auto ref = run_with(composed, false, false, 1);
-    expect_identical(*ref, *run_with(composed, true, false, 1),
-                     ctx + " opcode only");
-    expect_identical(*ref, *run_with(composed, false, true, 1),
-                     ctx + " vector only");
-    expect_identical(*ref, *run_with(composed, true, true, 1),
-                     ctx + " opcode+vector");
-    expect_identical(*ref, *run_with(composed, true, true, 2),
-                     ctx + " opcode+vector t2");
-    expect_identical(*ref, *run_with(composed, true, true, 8),
-                     ctx + " opcode+vector t8");
+    expect_batched_matches_merged(composed, "seed " + std::to_string(seed));
   }
 }
 
 // Heterogeneous sub-batches (the stacked-levers case): two descriptions
 // interleaved into two width-2 sub-batches, so the threaded per-group
-// drain actually has groups to spread, on top of opcode dispatch and the
-// vector drain.
+// drain actually has groups to spread.
 TEST(DifferentialSweepTest, HeterogeneousSubBatchesMatchReference) {
   gen::RandomArchConfig cfg;
   cfg.tokens = 25;
@@ -507,12 +351,8 @@ TEST(DifferentialSweepTest, HeterogeneousSubBatchesMatchReference) {
     parts.emplace_back("b1", b);
     const Scenario mixed = study::compose("mix", parts);
     ASSERT_EQ(mixed.batch_groups().size(), 2u);
-    const std::string ctx = "pair seed " + std::to_string(seed);
-
-    const auto ref = run_with(mixed, false, false, 1);
-    for (const int threads : {1, 2, 8})
-      expect_identical(*ref, *run_with(mixed, true, true, threads),
-                       ctx + " t" + std::to_string(threads));
+    expect_batched_matches_merged(mixed,
+                                  "pair seed " + std::to_string(seed));
   }
 }
 

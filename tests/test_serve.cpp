@@ -175,32 +175,6 @@ TEST(WireDescTest, StreamSourceRequiresFactory) {
   EXPECT_THROW((void)serve::desc_from_json(doc), serve::WireError);
 }
 
-// --------------------------------------------------- wire: programs ----
-
-TEST(WireProgramTest, DumpLoadDumpIsByteIdentical) {
-  const core::CompiledPtr compiled =
-      core::compile_abstraction(core::CompiledKey::make(
-          model::share(gen::make_didactic(small_didactic())), {}, true, 0));
-  const std::string doc1 = serve::program_to_json(compiled->program);
-  const tdg::Program back = serve::program_from_json(doc1);
-  EXPECT_EQ(doc1, serve::program_to_json(back));
-  EXPECT_EQ(back.n_nodes, compiled->program.n_nodes);
-}
-
-TEST(WireProgramTest, RejectsCorruptTables) {
-  const core::CompiledPtr compiled =
-      core::compile_abstraction(core::CompiledKey::make(
-          model::share(gen::make_didactic(small_didactic())), {}, true, 0));
-  const JsonValue doc =
-      json_parse(serve::program_to_json(compiled->program));
-  auto members = doc.members();
-  // Truncate a parallel table: the loader's shape validation must throw.
-  members["static_pending"] = JsonValue::array({JsonValue::integer(0)});
-  EXPECT_THROW(
-      (void)serve::program_from_json(json_dump(JsonValue::object(members))),
-      serve::WireError);
-}
-
 // ------------------------------------------------------ program cache ----
 
 TEST(ProgramCacheTest, CountsHitsAndMisses) {
