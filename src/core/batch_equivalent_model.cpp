@@ -1,7 +1,6 @@
 #include "core/batch_equivalent_model.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "tdg/simplify.hpp"
@@ -10,15 +9,11 @@
 
 namespace maxev::core {
 
-using model::ChannelKind;
-using model::Token;
-
 namespace {
 
 /// Validate that the merged description's slice at \p span is a structural
-/// replication of \p base under the "<name>/" namespace prefix — the
-/// per-member generalization of the PR-4 N-fold validator, checking the
-/// same surface as model::structurally_equal (table blocks, prefixed
+/// replication of \p base under the "<name>/" namespace prefix, checking
+/// the same surface as model::structurally_equal (table blocks, prefixed
 /// names, resource policies/rates, channel kinds/capacities, function body
 /// sizes, source token counts). Workload/schedule std::functions cannot be
 /// compared; the study layer guarantees them by handing every member the
@@ -72,57 +67,6 @@ void validate_replication(const model::ArchitectureDesc& merged,
 }  // namespace
 
 BatchEquivalentModel::~BatchEquivalentModel() = default;
-
-BatchEquivalentModel::BatchEquivalentModel(model::DescPtr merged,
-                                           model::DescPtr base,
-                                           std::vector<std::string> names,
-                                           std::vector<bool> group)
-    : BatchEquivalentModel(std::move(merged), std::move(base),
-                           std::move(names), std::move(group), Options{}) {}
-
-BatchEquivalentModel::BatchEquivalentModel(model::DescPtr merged,
-                                           model::DescPtr base,
-                                           std::vector<std::string> names,
-                                           std::vector<bool> group,
-                                           Options opts)
-    : BatchEquivalentModel(
-          std::move(merged),
-          [&]() -> std::vector<GroupSpec> {
-            if (base == nullptr)
-              throw DescriptionError("BatchEquivalentModel: null description");
-            GroupSpec spec;
-            spec.base = base;
-            spec.group = std::move(group);
-            spec.names = std::move(names);
-            // The homogeneous layout: instance i occupies the contiguous
-            // block [i * n, (i + 1) * n) of every merged table.
-            for (std::size_t i = 0; i < spec.names.size(); ++i) {
-              InstanceSpan span;
-              span.fn = i * base->functions().size();
-              span.ch = i * base->channels().size();
-              span.res = i * base->resources().size();
-              span.src = i * base->sources().size();
-              span.sink = i * base->sinks().size();
-              spec.spans.push_back(span);
-            }
-            return {std::move(spec)};
-          }(),
-          std::move(opts)) {
-  // The N-fold shape promised by the convenience signature: the merged
-  // tables are *exactly* N base blocks (the grouped constructor only
-  // bounds-checks each span, since groups may interleave with a
-  // remainder).
-  const model::ArchitectureDesc& bd = *groups_[0].base;
-  const std::size_t width = groups_[0].names.size();
-  if (desc_->functions().size() != width * bd.functions().size() ||
-      desc_->channels().size() != width * bd.channels().size() ||
-      desc_->resources().size() != width * bd.resources().size() ||
-      desc_->sources().size() != width * bd.sources().size() ||
-      desc_->sinks().size() != width * bd.sinks().size())
-    throw DescriptionError(
-        "BatchEquivalentModel: merged description is not an N-fold "
-        "replication of the base description");
-}
 
 BatchEquivalentModel::BatchEquivalentModel(model::DescPtr merged,
                                            std::vector<GroupSpec> groups,
@@ -234,11 +178,6 @@ BatchEquivalentModel::BatchEquivalentModel(model::DescPtr merged,
       return any;
     });
   }
-
-  for (std::size_t i = 0; i < inputs_.size(); ++i) wire_input(i);
-  for (std::size_t i = 0; i < outputs_.size(); ++i) wire_output(i);
-  for (std::size_t i = 0; i < iso_inputs_.size(); ++i) wire_iso_input(i);
-  for (std::size_t i = 0; i < iso_outputs_.size(); ++i) wire_iso_output(i);
 }
 
 void BatchEquivalentModel::build_group(std::size_t gi, const Options& opts) {
@@ -271,53 +210,16 @@ void BatchEquivalentModel::build_group(std::size_t gi, const Options& opts) {
   grp.engine = std::make_unique<tdg::BatchEngine>(
       grp.compiled->graph, grp.compiled->program, std::move(eng_opts));
 
-  // Resolve boundary nodes by name once (fold/pad preserve names; the node
-  // ids are shared by every member).
-  auto resolve = [&grp](const std::string& name) {
-    if (name.empty()) return tdg::kNoNode;
-    const tdg::NodeId n = grp.compiled->graph.find(name);
-    if (n == tdg::kNoNode)
-      throw Error("BatchEquivalentModel: boundary node '" + name +
-                  "' missing after graph transforms");
-    return n;
-  };
-
-  grp.in_begin = inputs_.size();
-  grp.n_in = grp.compiled->inputs.size();
-  grp.out_begin = outputs_.size();
-  grp.n_out = grp.compiled->outputs.size();
-  inputs_.reserve(inputs_.size() + width * grp.compiled->inputs.size());
-  outputs_.reserve(outputs_.size() + width * grp.compiled->outputs.size());
+  // One boundary per member on its engine lane: the base abstraction's
+  // channel and source ids shift to the member's merged-table span.
+  grp.boundaries.reserve(width);
   for (std::size_t i = 0; i < width; ++i) {
     const InstanceSpan& span = grp.spans[i];
-    for (const auto& bi : grp.compiled->inputs) {
-      InputState st;
-      st.meta = bi;
-      st.grp = gi;
-      st.inst = i;
-      st.src_base = static_cast<model::SourceId>(span.src);
-      st.merged_channel =
-          bi.channel + static_cast<model::ChannelId>(span.ch);
-      st.u = resolve(bi.u_node);
-      st.x = resolve(bi.x_node);
-      st.xw = resolve(bi.xw_node);
-      st.xr = resolve(bi.xr_node);
-      inputs_.push_back(std::move(st));
-    }
-    for (const auto& bo : grp.compiled->outputs) {
-      OutputState st;
-      st.meta = bo;
-      st.grp = gi;
-      st.inst = i;
-      st.src_base = static_cast<model::SourceId>(span.src);
-      st.merged_channel =
-          bo.channel + static_cast<model::ChannelId>(span.ch);
-      st.offer = resolve(bo.offer_node);
-      st.actual = resolve(bo.actual_node);
-      st.xr_actual = resolve(bo.xr_actual_node);
-      if (st.actual == st.offer) st.actual = tdg::kNoNode;  // single-node case
-      outputs_.push_back(std::move(st));
-    }
+    grp.boundaries.push_back(std::make_unique<Boundary<BatchLane>>(
+        *runtime_, *grp.compiled, BatchLane(*grp.engine, i),
+        Boundary<BatchLane>::Placement{
+            static_cast<model::ChannelId>(span.ch),
+            static_cast<model::SourceId>(span.src), grp.names[i] + "/"}));
   }
 }
 
@@ -350,339 +252,9 @@ void BatchEquivalentModel::build_isolated(const Options& opts) {
   iso_engine_ = std::make_unique<tdg::Engine>(iso_compiled_->graph,
                                               iso_compiled_->program, eng_opts);
 
-  auto resolve = [this](const std::string& name) {
-    if (name.empty()) return tdg::kNoNode;
-    const tdg::NodeId n = iso_compiled_->graph.find(name);
-    if (n == tdg::kNoNode)
-      throw Error("BatchEquivalentModel: boundary node '" + name +
-                  "' missing after graph transforms");
-    return n;
-  };
-
-  iso_inputs_.reserve(iso_compiled_->inputs.size());
-  for (const auto& bi : iso_compiled_->inputs) {
-    IsoInputState st;
-    st.meta = bi;
-    st.u = resolve(bi.u_node);
-    st.x = resolve(bi.x_node);
-    st.xw = resolve(bi.xw_node);
-    st.xr = resolve(bi.xr_node);
-    iso_inputs_.push_back(std::move(st));
-  }
-  iso_outputs_.reserve(iso_compiled_->outputs.size());
-  for (const auto& bo : iso_compiled_->outputs) {
-    IsoOutputState st;
-    st.meta = bo;
-    st.offer = resolve(bo.offer_node);
-    st.actual = resolve(bo.actual_node);
-    st.xr_actual = resolve(bo.xr_actual_node);
-    if (st.actual == st.offer) st.actual = tdg::kNoNode;  // single-node case
-    iso_outputs_.push_back(std::move(st));
-  }
-}
-
-void BatchEquivalentModel::wire_input(std::size_t idx) {
-  InputState& st = inputs_[idx];
-  tdg::BatchEngine* engine = groups_[st.grp].engine.get();
-  model::ChannelRt* ch = runtime_->channel(st.merged_channel);
-  if (ch == nullptr)
-    throw Error("BatchEquivalentModel: input channel not constructed");
-
-  if (!st.meta.fifo) {
-    // Rendezvous input: gated reader. On each offer, feed u(k) and the
-    // token attributes, then answer inline when the completion x_in(k) is
-    // already computable (resolve_now — the inline-resume fast path);
-    // otherwise park, and the deferred engine computes x_in(k) at the
-    // timestep boundary, completing the rendezvous there — at the same
-    // simulated instant a solo run would.
-    engine->on_known(st.inst, st.x, [this, idx](std::uint64_t k, TimePoint t) {
-      InputState& s = inputs_[idx];
-      if (s.parked && s.parked_k == k) {
-        s.parked = false;
-        model::ChannelRt* c = runtime_->channel(s.merged_channel);
-        c->rendezvous->resolve_gated(t);
-      }
-    });
-    ch->rendezvous->set_gated_reader(
-        [this, idx, engine](TimePoint offer,
-                            const Token& tok) -> std::optional<TimePoint> {
-          InputState& s = inputs_[idx];
-          const std::uint64_t k = s.next_k++;
-          // Token sources carry merged ids; the engine speaks base ids.
-          engine->set_attrs(s.inst, tok.source - s.src_base, k, tok.attrs);
-          engine->set_external(s.inst, s.u, k, offer);
-          // Pre-existing value: a guard disconnected x from u in an
-          // earlier front (no on_known will fire again for it).
-          if (auto v = engine->value(s.inst, s.x, k)) return *v;
-          // Inline fast path: every prerequisite of x_in(k) is known, so
-          // compute it now and answer without a queued resume.
-          if (auto v = engine->resolve_now(s.inst, s.x, k)) return *v;
-          s.parked = true;
-          s.parked_k = k;
-          return std::nullopt;
-        });
-  } else {
-    // FIFO input: write instants are observed live; a virtual reader pops
-    // tokens at the computed read instants.
-    st.ready = std::make_unique<sim::Event>(runtime_->kernel(),
-                                            "vread:" + std::to_string(idx));
-    engine->on_known(st.inst, st.xr, [this, idx](std::uint64_t, TimePoint) {
-      inputs_[idx].ready->notify();
-    });
-    ch->fifo->on_write_complete(
-        [this, idx, engine](std::uint64_t k, TimePoint t, const Token& tok) {
-          InputState& s = inputs_[idx];
-          engine->set_attrs(s.inst, tok.source - s.src_base, k, tok.attrs);
-          engine->set_external(s.inst, s.xw, k, t);
-        });
-    runtime_->kernel().spawn(
-        "vreader:" + desc_->channels()[st.merged_channel].name,
-        [this, idx] { return virtual_fifo_reader_proc(idx); });
-  }
-}
-
-sim::Process BatchEquivalentModel::virtual_fifo_reader_proc(std::size_t idx) {
-  InputState& st = inputs_[idx];
-  tdg::BatchEngine* engine = groups_[st.grp].engine.get();
-  model::ChannelRt* ch = runtime_->channel(st.merged_channel);
-  for (std::uint64_t k = 0;; ++k) {
-    std::optional<TimePoint> t;
-    while (!(t = engine->value(st.inst, st.xr, k)))
-      co_await st.ready->wait();
-    co_await runtime_->kernel().delay_until(*t);
-    (void)co_await ch->fifo->read();
-    st.consumed = k + 1;
-    raise_retain_floor(st.grp, st.inst);
-  }
-}
-
-void BatchEquivalentModel::wire_output(std::size_t idx) {
-  OutputState& st = outputs_[idx];
-  tdg::BatchEngine* engine = groups_[st.grp].engine.get();
-  model::ChannelRt* ch = runtime_->channel(st.merged_channel);
-  if (ch == nullptr)
-    throw Error("BatchEquivalentModel: output channel not constructed");
-
-  st.ready = std::make_unique<sim::Event>(runtime_->kernel(),
-                                          "emit:" + std::to_string(idx));
-  engine->on_known(st.inst, st.offer, [this, idx](std::uint64_t, TimePoint) {
-    outputs_[idx].ready->notify();
-  });
-
-  if (!st.meta.fifo) {
-    if (st.actual != tdg::kNoNode) {
-      ch->rendezvous->on_transfer(
-          [this, idx, engine](std::uint64_t k, TimePoint t, const Token&) {
-            OutputState& s = outputs_[idx];
-            engine->set_external(s.inst, s.actual, k, t);
-          });
-    }
-  } else {
-    ch->fifo->on_write_complete(
-        [this, idx, engine](std::uint64_t k, TimePoint t, const Token&) {
-          OutputState& s = outputs_[idx];
-          engine->set_external(s.inst, s.actual, k, t);
-        });
-    ch->fifo->on_read_complete(
-        [this, idx, engine](std::uint64_t k, TimePoint t, const Token&) {
-          OutputState& s = outputs_[idx];
-          engine->set_external(s.inst, s.xr_actual, k, t);
-        });
-  }
-
-  runtime_->kernel().spawn(
-      "emission:" + desc_->channels()[st.merged_channel].name,
-      [this, idx] { return emission_proc(idx); });
-}
-
-sim::Process BatchEquivalentModel::emission_proc(std::size_t idx) {
-  OutputState& st = outputs_[idx];
-  tdg::BatchEngine* engine = groups_[st.grp].engine.get();
-  model::ChannelRt* ch = runtime_->channel(st.merged_channel);
-  for (std::uint64_t k = 0;; ++k) {
-    std::optional<TimePoint> y;
-    while (!(y = engine->value(st.inst, st.offer, k)))
-      co_await st.ready->wait();
-
-    // Build the output token from the stored provenance attributes, under
-    // the merged source id (what the merged model's consumers see).
-    Token tok;
-    tok.k = k;
-    tok.source = st.meta.provenance + st.src_base;
-    if (auto attrs = engine->attrs_of(st.inst, st.meta.provenance, k))
-      tok.attrs = *attrs;
-
-    co_await runtime_->kernel().delay_until(*y);
-    if (!st.meta.fifo) {
-      co_await ch->rendezvous->write(tok);
-    } else {
-      co_await ch->fifo->write(tok);
-    }
-    st.emitted = k + 1;
-    raise_retain_floor(st.grp, st.inst);
-  }
-}
-
-void BatchEquivalentModel::raise_retain_floor(std::size_t grp,
-                                              std::size_t inst) {
-  // Per-member floor: a member's frames may be reclaimed once every one of
-  // *its* boundary consumers has moved past them; the group's shared arena
-  // additionally waits for every other member (BatchEngine takes the
-  // minimum across lanes). A group's boundary states are member-major
-  // contiguous spans — this runs per emitted/consumed token and must not
-  // scan the whole batch.
-  const Group& g = groups_[grp];
-  std::uint64_t floor = std::numeric_limits<std::uint64_t>::max();
-  bool any = false;
-  for (std::size_t b = g.out_begin + inst * g.n_out;
-       b < g.out_begin + (inst + 1) * g.n_out; ++b) {
-    floor = std::min(floor, outputs_[b].emitted);
-    any = true;
-  }
-  for (std::size_t b = g.in_begin + inst * g.n_in;
-       b < g.in_begin + (inst + 1) * g.n_in; ++b) {
-    if (!inputs_[b].meta.fifo) continue;
-    floor = std::min(floor, inputs_[b].consumed);
-    any = true;
-  }
-  if (any) g.engine->set_retain_floor(inst, floor);
-}
-
-void BatchEquivalentModel::wire_iso_input(std::size_t idx) {
-  IsoInputState& st = iso_inputs_[idx];
-  model::ChannelRt* ch = runtime_->channel(st.meta.channel);
-  if (ch == nullptr)
-    throw Error("BatchEquivalentModel: isolated input channel not constructed");
-
-  if (!st.meta.fifo) {
-    iso_engine_->on_known(st.x, [this, idx](std::uint64_t k, TimePoint t) {
-      IsoInputState& s = iso_inputs_[idx];
-      if (s.parked && s.parked_k == k) {
-        s.parked = false;
-        model::ChannelRt* c = runtime_->channel(s.meta.channel);
-        c->rendezvous->resolve_gated(t);
-      }
-    });
-    ch->rendezvous->set_gated_reader(
-        [this, idx](TimePoint offer,
-                    const Token& tok) -> std::optional<TimePoint> {
-          IsoInputState& s = iso_inputs_[idx];
-          const std::uint64_t k = s.next_k++;
-          iso_engine_->set_attrs(tok.source, k, tok.attrs);
-          iso_engine_->set_external(s.u, k, offer);
-          if (auto v = iso_engine_->value(s.x, k)) return *v;
-          s.parked = true;
-          s.parked_k = k;
-          return std::nullopt;
-        });
-  } else {
-    st.ready = std::make_unique<sim::Event>(
-        runtime_->kernel(), "iso-vread:" + std::to_string(idx));
-    iso_engine_->on_known(st.xr, [this, idx](std::uint64_t, TimePoint) {
-      iso_inputs_[idx].ready->notify();
-    });
-    ch->fifo->on_write_complete(
-        [this, idx](std::uint64_t k, TimePoint t, const Token& tok) {
-          IsoInputState& s = iso_inputs_[idx];
-          iso_engine_->set_attrs(tok.source, k, tok.attrs);
-          iso_engine_->set_external(s.xw, k, t);
-        });
-    runtime_->kernel().spawn(
-        "vreader:" + desc_->channels()[st.meta.channel].name,
-        [this, idx] { return iso_virtual_fifo_reader_proc(idx); });
-  }
-}
-
-sim::Process BatchEquivalentModel::iso_virtual_fifo_reader_proc(
-    std::size_t idx) {
-  IsoInputState& st = iso_inputs_[idx];
-  model::ChannelRt* ch = runtime_->channel(st.meta.channel);
-  for (std::uint64_t k = 0;; ++k) {
-    std::optional<TimePoint> t;
-    while (!(t = iso_engine_->value(st.xr, k))) co_await st.ready->wait();
-    co_await runtime_->kernel().delay_until(*t);
-    (void)co_await ch->fifo->read();
-    st.consumed = k + 1;
-    raise_iso_retain_floor();
-  }
-}
-
-void BatchEquivalentModel::wire_iso_output(std::size_t idx) {
-  IsoOutputState& st = iso_outputs_[idx];
-  model::ChannelRt* ch = runtime_->channel(st.meta.channel);
-  if (ch == nullptr)
-    throw Error(
-        "BatchEquivalentModel: isolated output channel not constructed");
-
-  st.ready = std::make_unique<sim::Event>(runtime_->kernel(),
-                                          "iso-emit:" + std::to_string(idx));
-  iso_engine_->on_known(st.offer, [this, idx](std::uint64_t, TimePoint) {
-    iso_outputs_[idx].ready->notify();
-  });
-
-  if (!st.meta.fifo) {
-    if (st.actual != tdg::kNoNode) {
-      ch->rendezvous->on_transfer(
-          [this, idx](std::uint64_t k, TimePoint t, const Token&) {
-            iso_engine_->set_external(iso_outputs_[idx].actual, k, t);
-          });
-    }
-  } else {
-    ch->fifo->on_write_complete(
-        [this, idx](std::uint64_t k, TimePoint t, const Token&) {
-          iso_engine_->set_external(iso_outputs_[idx].actual, k, t);
-        });
-    ch->fifo->on_read_complete(
-        [this, idx](std::uint64_t k, TimePoint t, const Token&) {
-          iso_engine_->set_external(iso_outputs_[idx].xr_actual, k, t);
-        });
-  }
-
-  runtime_->kernel().spawn(
-      "emission:" + desc_->channels()[st.meta.channel].name,
-      [this, idx] { return iso_emission_proc(idx); });
-}
-
-sim::Process BatchEquivalentModel::iso_emission_proc(std::size_t idx) {
-  IsoOutputState& st = iso_outputs_[idx];
-  model::ChannelRt* ch = runtime_->channel(st.meta.channel);
-  for (std::uint64_t k = 0;; ++k) {
-    std::optional<TimePoint> y;
-    while (!(y = iso_engine_->value(st.offer, k))) co_await st.ready->wait();
-
-    Token tok;
-    tok.k = k;
-    tok.source = st.meta.provenance;
-    if (auto attrs = iso_engine_->attrs_of(st.meta.provenance, k))
-      tok.attrs = *attrs;
-
-    co_await runtime_->kernel().delay_until(*y);
-    if (!st.meta.fifo) {
-      co_await ch->rendezvous->write(tok);
-    } else {
-      co_await ch->fifo->write(tok);
-    }
-    st.emitted = k + 1;
-    raise_iso_retain_floor();
-  }
-}
-
-void BatchEquivalentModel::raise_iso_retain_floor() {
-  // The remainder engine's frames are shared by all its boundaries (one
-  // merged graph), so the floor is the minimum over every consumer —
-  // exactly core::EquivalentModel::raise_retain_floor.
-  std::uint64_t floor = std::numeric_limits<std::uint64_t>::max();
-  bool any = false;
-  for (const IsoOutputState& st : iso_outputs_) {
-    floor = std::min(floor, st.emitted);
-    any = true;
-  }
-  for (const IsoInputState& st : iso_inputs_) {
-    if (!st.meta.fifo) continue;
-    floor = std::min(floor, st.consumed);
-    any = true;
-  }
-  if (any) iso_engine_->set_retain_floor(floor);
+  // The merged path's boundary, verbatim: merged ids, merged node names.
+  iso_boundary_.emplace(*runtime_, *iso_compiled_, SoloLane(*iso_engine_),
+                        Boundary<SoloLane>::Placement{});
 }
 
 std::uint64_t BatchEquivalentModel::instances_computed() const {
@@ -719,15 +291,15 @@ model::ModelRuntime::Outcome BatchEquivalentModel::run(
     std::optional<TimePoint> until) {
   model::ModelRuntime::Outcome out = runtime_->run(until);
   if (!out.completed && (out.idle || sim::is_guard_stop(out.stop))) {
-    // Batched-only knowledge: parked gated offers (named per member) and
-    // each member instance's token progress through the merged runtime's
-    // sinks — diagnostics the merged stall report cannot attribute.
-    for (const InputState& st : inputs_) {
-      if (!st.parked) continue;
-      out.diagnostics.unresolved_gates.push_back(
-          groups_[st.grp].names[st.inst] + "/" + st.meta.u_node + "@k=" +
-          std::to_string(st.parked_k));
-    }
+    // Parked gated offers (group members named "<member>/<node>", the
+    // remainder by its merged node names), then each group member's token
+    // progress through the merged runtime's sinks — diagnostics the merged
+    // stall report cannot attribute.
+    for (const Group& g : groups_)
+      for (const auto& b : g.boundaries)
+        b->append_parked_gates(out.diagnostics.unresolved_gates);
+    if (iso_boundary_)
+      iso_boundary_->append_parked_gates(out.diagnostics.unresolved_gates);
     for (const Group& g : groups_) {
       std::uint64_t expected = 0;
       if (!g.base->sources().empty()) {

@@ -5,10 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "core/boundary.hpp"
 #include "core/compiled.hpp"
 #include "model/baseline.hpp"
 #include "model/desc.hpp"
-#include "sim/event.hpp"
 #include "tdg/batch_engine.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/engine.hpp"
@@ -36,22 +36,17 @@
 /// model::ModelRuntime over the merged description simulates sources,
 /// sinks and non-abstracted functions, so kernel behaviour — and with it
 /// every per-instance trace — stays bit-identical to both the merged
-/// equivalent model and the N solo runs. Boundary wiring (gated reception,
-/// emission processes, virtual FIFO readers) deliberately *mirrors*
-/// core::EquivalentModel per instance instead of sharing code with it —
-/// the sides index different engines (solo vs batch lane) and the accuracy
-/// claim rests on all of them implementing the same boundary protocol: any
-/// change to that protocol in equivalent_model.cpp must be mirrored here
-/// (the bit-identity suite in tests/test_batch_engine.cpp catches
-/// divergence). The remaining behavioural differences of the batched side:
-///  * a gated input offer is answered inline when its completion instant
-///    is already computable (tdg::BatchEngine::resolve_now — the
-///    inline-resume fast path, docs/DESIGN.md §10); otherwise it parks and
-///    the timestep boundary resolves it at the same simulated instant,
-///    resuming the writer without a queue round-trip when the computed
-///    instant is the current one (sim::Kernel::resume_now);
-///  * retain floors are tracked per member instance; a group's shared
-///    arena reclaims a frame once every member has moved past it.
+/// equivalent model and the N solo runs. The boundary protocol (gated
+/// reception, emission processes, virtual FIFO readers, retain floors,
+/// parked-gate diagnostics) is core::Boundary, the same component
+/// core::EquivalentModel uses:
+///  * each group member gets one Boundary over its BatchEngine lane
+///    (BatchLane), placed at the member's merged-table span and naming its
+///    parked gates "<member>/<node>@k=<k>". Its retain floor is per
+///    member; the group's shared arena reclaims a frame once every member
+///    has moved past it;
+///  * the isolated remainder gets one Boundary over its inline engine
+///    (SoloLane), exactly as the merged equivalent model wires it.
 ///
 /// Merged-id ↔ base-id translation is per *instance span*: each member
 /// records the begin offsets of its entity blocks in the merged tables
@@ -130,16 +125,6 @@ class BatchEquivalentModel {
   BatchEquivalentModel(model::DescPtr merged, std::vector<GroupSpec> groups,
                        Options opts);
 
-  /// Homogeneous convenience (the PR-4 shape): the merged description is
-  /// an N-fold replication of \p base; instance i occupies block
-  /// [i*n, (i+1)*n) of every table.
-  BatchEquivalentModel(model::DescPtr merged, model::DescPtr base,
-                       std::vector<std::string> instance_names,
-                       std::vector<bool> group);
-  BatchEquivalentModel(model::DescPtr merged, model::DescPtr base,
-                       std::vector<std::string> instance_names,
-                       std::vector<bool> group, Options opts);
-
   BatchEquivalentModel(const BatchEquivalentModel&) = delete;
   BatchEquivalentModel& operator=(const BatchEquivalentModel&) = delete;
   /// Out of line: pool_ holds a forward-declared util::ThreadPool.
@@ -153,15 +138,7 @@ class BatchEquivalentModel {
   [[nodiscard]] model::ModelRuntime& runtime() { return *runtime_; }
   /// Number of equal-structure sub-batches.
   [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
-  /// The first group's base graph / engine — the whole model's, for the
-  /// homogeneous single-group case the convenience constructors build.
-  [[nodiscard]] const tdg::Graph& graph() const {
-    return groups_[0].compiled->graph;
-  }
-  [[nodiscard]] const tdg::BatchEngine& engine() const {
-    return *groups_[0].engine;
-  }
-  /// Per-group accessors (grouped construction).
+  /// Per-group accessors.
   [[nodiscard]] const tdg::Graph& graph(std::size_t g) const {
     return groups_[g].compiled->graph;
   }
@@ -203,39 +180,6 @@ class BatchEquivalentModel {
   [[nodiscard]] TimePoint end_time() const { return runtime_->end_time(); }
 
  private:
-  /// Boundary state of one group member's input/output, mirroring
-  /// core::EquivalentModel's wiring with the member's batch lane and
-  /// merged-table span attached.
-  struct InputState {
-    tdg::BoundaryInput meta;              // base-description ids/names
-    std::size_t grp = 0;                  // sub-batch
-    std::size_t inst = 0;                 // lane within the sub-batch
-    model::SourceId src_base = 0;         // member's source-span begin
-    model::ChannelId merged_channel = model::kInvalidId;
-    tdg::NodeId u = tdg::kNoNode;
-    tdg::NodeId x = tdg::kNoNode;
-    tdg::NodeId xw = tdg::kNoNode;
-    tdg::NodeId xr = tdg::kNoNode;
-    std::uint64_t next_k = 0;
-    bool parked = false;
-    std::uint64_t parked_k = 0;
-    std::uint64_t consumed = 0;
-    std::unique_ptr<sim::Event> ready;
-  };
-
-  struct OutputState {
-    tdg::BoundaryOutput meta;
-    std::size_t grp = 0;
-    std::size_t inst = 0;
-    model::SourceId src_base = 0;
-    model::ChannelId merged_channel = model::kInvalidId;
-    tdg::NodeId offer = tdg::kNoNode;
-    tdg::NodeId actual = tdg::kNoNode;
-    tdg::NodeId xr_actual = tdg::kNoNode;
-    std::uint64_t emitted = 0;
-    std::unique_ptr<sim::Event> ready;
-  };
-
   /// One equal-structure sub-batch at run time.
   struct Group {
     model::DescPtr base;
@@ -244,55 +188,18 @@ class BatchEquivalentModel {
     std::vector<InstanceSpan> spans;
     CompiledPtr compiled;  ///< frozen base graph + program + boundaries
     std::unique_ptr<tdg::BatchEngine> engine;
-    std::size_t in_begin = 0, n_in = 0;    // per-member strides in inputs_
-    std::size_t out_begin = 0, n_out = 0;  // per-member strides in outputs_
-  };
-
-  /// Isolated-remainder boundary state (inline tdg::Engine, merged ids —
-  /// the EquivalentModel wiring verbatim).
-  struct IsoInputState {
-    tdg::BoundaryInput meta;
-    tdg::NodeId u = tdg::kNoNode;
-    tdg::NodeId x = tdg::kNoNode;
-    tdg::NodeId xw = tdg::kNoNode;
-    tdg::NodeId xr = tdg::kNoNode;
-    std::uint64_t next_k = 0;
-    bool parked = false;
-    std::uint64_t parked_k = 0;
-    std::uint64_t consumed = 0;
-    std::unique_ptr<sim::Event> ready;
-  };
-
-  struct IsoOutputState {
-    tdg::BoundaryOutput meta;
-    tdg::NodeId offer = tdg::kNoNode;
-    tdg::NodeId actual = tdg::kNoNode;
-    tdg::NodeId xr_actual = tdg::kNoNode;
-    std::uint64_t emitted = 0;
-    std::unique_ptr<sim::Event> ready;
+    /// One boundary per member, on the member's engine lane.
+    std::vector<std::unique_ptr<Boundary<BatchLane>>> boundaries;
   };
 
   void build_group(std::size_t g, const Options& opts);
   void build_isolated(const Options& opts);
-  void wire_input(std::size_t idx);
-  void wire_output(std::size_t idx);
-  sim::Process emission_proc(std::size_t idx);
-  sim::Process virtual_fifo_reader_proc(std::size_t idx);
-  void raise_retain_floor(std::size_t grp, std::size_t inst);
-  void wire_iso_input(std::size_t idx);
-  void wire_iso_output(std::size_t idx);
-  sim::Process iso_emission_proc(std::size_t idx);
-  sim::Process iso_virtual_fifo_reader_proc(std::size_t idx);
-  void raise_iso_retain_floor();
 
   model::DescPtr desc_;  // merged (runtime side)
   std::vector<Group> groups_;
-  std::vector<InputState> inputs_;    // group-major, then member-major
-  std::vector<OutputState> outputs_;
   CompiledPtr iso_compiled_;
   std::unique_ptr<tdg::Engine> iso_engine_;
-  std::vector<IsoInputState> iso_inputs_;
-  std::vector<IsoOutputState> iso_outputs_;
+  std::optional<Boundary<SoloLane>> iso_boundary_;
   std::unique_ptr<model::ModelRuntime> runtime_;
   /// Present only when Options::threads enables the parallel drain.
   std::unique_ptr<util::ThreadPool> pool_;

@@ -4,10 +4,10 @@
 #include <optional>
 #include <vector>
 
+#include "core/boundary.hpp"
 #include "core/compiled.hpp"
 #include "model/baseline.hpp"
 #include "model/desc.hpp"
-#include "sim/event.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/engine.hpp"
 #include "tdg/graph.hpp"
@@ -27,6 +27,10 @@
 ///    later, if the environment is slow) is fed back into the engine's
 ///    history, so environment back-pressure propagates into iteration k+1
 ///    exactly as in the event-driven model.
+///
+/// Both sides are one core::Boundary over the inline tdg::Engine — the
+/// same protocol component the batched model (batch_equivalent_model.hpp)
+/// wires per sub-batch member and for its isolated remainder.
 ///
 /// All internal channels of the group are never constructed: their events
 /// are the events the method saves. Their instants, and the busy intervals
@@ -105,39 +109,10 @@ class EquivalentModel {
   [[nodiscard]] TimePoint end_time() const { return runtime_->end_time(); }
 
  private:
-  struct InputState {
-    tdg::BoundaryInput meta;
-    tdg::NodeId u = tdg::kNoNode;        // rendezvous offer node
-    tdg::NodeId x = tdg::kNoNode;        // rendezvous completion node
-    tdg::NodeId xw = tdg::kNoNode;       // fifo external write node
-    tdg::NodeId xr = tdg::kNoNode;       // fifo computed read node
-    std::uint64_t next_k = 0;            // next offer index
-    bool parked = false;                 // rendezvous offer awaiting resolution
-    std::uint64_t parked_k = 0;
-    std::uint64_t consumed = 0;          // fifo: virtual-reader progress
-    std::unique_ptr<sim::Event> ready;   // fifo: xr(k) became known
-  };
-
-  struct OutputState {
-    tdg::BoundaryOutput meta;
-    tdg::NodeId offer = tdg::kNoNode;
-    tdg::NodeId actual = tdg::kNoNode;      // kNoNode when offer == completion
-    tdg::NodeId xr_actual = tdg::kNoNode;   // fifo read instants
-    std::uint64_t emitted = 0;              // consumer progress (retain floor)
-    std::unique_ptr<sim::Event> ready;      // offer(k) became known
-  };
-
-  void wire_input(std::size_t idx);
-  void wire_output(std::size_t idx);
-  sim::Process emission_proc(std::size_t idx);
-  sim::Process virtual_fifo_reader_proc(std::size_t idx);
-  void raise_retain_floor();
-
   model::DescPtr desc_;
   std::vector<bool> group_;
   CompiledPtr compiled_;  ///< frozen graph + program + boundary metadata
-  std::vector<InputState> inputs_;
-  std::vector<OutputState> outputs_;
+  std::optional<Boundary<SoloLane>> boundary_;  ///< reception + emission
   std::unique_ptr<model::ModelRuntime> runtime_;
   std::unique_ptr<tdg::Engine> engine_;
 };

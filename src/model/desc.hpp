@@ -195,9 +195,9 @@ class ArchitectureDesc {
 /// missing behavioural guarantee by shared ownership — instances holding
 /// the same model::DescPtr provably evaluate the same workload functions —
 /// so study::compose() groups instances by (DescPtr identity, abstraction
-/// group), with structural_hash() as the bucketing key and
-/// structurally_equal() as the validator's deep cross-check. Two
-/// equal-but-distinct descriptions stay in different sub-batches.
+/// group); structural_hash() keys the compiled-program cache
+/// (core::CompiledKey). Two equal-but-distinct descriptions stay in
+/// different sub-batches.
 /// @{
 
 /// Order-independent-free hash of the structural surface (two structurally

@@ -1,6 +1,7 @@
 #include "study/scenario.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -169,32 +170,15 @@ Scenario compose(std::string name, const std::vector<Scenario>& instances) {
   out.instances_ = std::move(spans);
 
   // Partition the instances into equal-structure sub-batches
-  // (docs/DESIGN.md §10). model::structural_hash buckets candidates
-  // cheaply (computed once per distinct description object); within a
-  // bucket, membership requires the same model::DescPtr and the same
-  // abstraction group. Pointer identity is deliberate — structural
-  // equality is only the *necessary* half of the contract: equal-but-
-  // distinct descriptions hold distinct std::function workloads that
-  // cannot be proven equivalent, so they stay in separate sub-batches
-  // (and fall to the isolated remainder when alone).
-  struct Candidate {
-    std::size_t hash;
-    model::DescPtr base;
-    std::vector<bool> group;  // normalized: explicit per-function flags
-    std::vector<std::size_t> members;
-  };
-  std::vector<Candidate> candidates;
-  std::vector<std::pair<const model::ArchitectureDesc*, std::size_t>> hashes;
-  const auto hash_of = [&](const model::DescPtr& d) {
-    for (const auto& [ptr, h] : hashes)
-      if (ptr == d.get()) return h;
-    const std::size_t h = model::structural_hash(*d);
-    hashes.emplace_back(d.get(), h);
-    return h;
-  };
+  // (docs/DESIGN.md §10): membership requires the same model::DescPtr and
+  // the same abstraction group. Pointer identity is deliberate — it implies
+  // structural equality, and equal-but-distinct descriptions hold distinct
+  // std::function workloads that cannot be proven equivalent, so they stay
+  // in separate sub-batches (and fall to the isolated remainder when
+  // alone).
+  std::vector<BatchGroup> candidates;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Scenario& part = instances[i];
-    const std::size_t h = hash_of(part.desc_ptr());
     // Normalize the group key: an empty group means "abstract everything",
     // so it must land in the same sub-batch as its explicit all-true form.
     std::vector<bool> key_group = part.options().group;
@@ -202,33 +186,19 @@ Scenario compose(std::string name, const std::vector<Scenario>& instances) {
       key_group.assign(part.desc().functions().size(), true);
     else
       key_group.resize(part.desc().functions().size(), false);
-    Candidate* home = nullptr;
-    for (Candidate& c : candidates) {
-      // Stage 1, structural: the documented necessary condition (hash
-      // prunes, deep compare decides).
-      if (c.hash != h || !model::structurally_equal(*c.base, part.desc()))
-        continue;
-      // Stage 2, behavioural: pointer identity (the workload guarantee)
-      // and the abstraction-group key.
-      if (c.base != part.desc_ptr() || c.group != key_group) continue;
-      home = &c;
-      break;
-    }
-    if (home == nullptr) {
-      candidates.push_back({h, part.desc_ptr(), std::move(key_group), {}});
-      home = &candidates.back();
+    auto home = std::find_if(
+        candidates.begin(), candidates.end(), [&](const BatchGroup& c) {
+          return c.base == part.desc_ptr() && c.group == key_group;
+        });
+    if (home == candidates.end()) {
+      candidates.push_back({part.desc_ptr(), std::move(key_group), {}});
+      home = std::prev(candidates.end());
     }
     home->members.push_back(i);
   }
-  for (Candidate& c : candidates) {
-    if (c.members.size() < 2) continue;  // singletons: isolated remainder
-    out.batch_groups_.push_back(
-        {std::move(c.base), std::move(c.group), std::move(c.members)});
-  }
-  // The fully-homogeneous case keeps its dedicated marker: one sub-batch
-  // covering every instance (the PR-4 N-fold shape).
-  if (candidates.size() == 1 && !out.batch_groups_.empty())
-    out.batch_base_ = out.batch_groups_.front().base;
+  for (BatchGroup& c : candidates)
+    if (c.members.size() >= 2)  // singletons: isolated remainder
+      out.batch_groups_.push_back(std::move(c));
   return out;
 }
 

@@ -48,11 +48,11 @@ struct ScenarioOptions {
 /// every member shares, the (base-level) abstraction group they agree on,
 /// and the member instance indices in composition order. Grouping rules
 /// (docs/DESIGN.md §10): members must hold the SAME model::DescPtr and the
-/// same group vector — model::structural_hash buckets the candidates and
-/// pointer identity supplies the behavioural guarantee that
-/// model::structurally_equal cannot (the opaque workload std::functions).
-/// Only groups of >= 2 members are recorded; everything else is the
-/// isolated remainder the equivalent backend runs through the merged path.
+/// same group vector. Pointer identity implies structural equality and
+/// supplies the behavioural guarantee that model::structurally_equal
+/// cannot (the opaque workload std::functions). Only groups of >= 2
+/// members are recorded; everything else is the isolated remainder the
+/// equivalent backend runs through the merged path.
 struct BatchGroup {
   model::DescPtr base;
   /// Base-level abstraction group, normalized to explicit per-function
@@ -103,15 +103,6 @@ class Scenario {
   }
   [[nodiscard]] bool composed() const { return !instances_.empty(); }
 
-  /// The single description all instances of a composed scenario share
-  /// (same model::DescPtr and same abstraction group), or null. When
-  /// non-null the equivalent backend may run this scenario through
-  /// tdg::BatchEngine — one compiled program evaluated for every instance
-  /// — instead of the N-times-larger merged graph (docs/DESIGN.md §9).
-  [[nodiscard]] const model::DescPtr& batch_base() const { return batch_base_; }
-  /// True when the whole composed scenario is one equal-structure batch.
-  [[nodiscard]] bool batchable() const { return batch_base_ != nullptr; }
-
   /// The equal-structure sub-batches of a composed scenario (>= 2 members
   /// each; possibly several — the heterogeneous carrier-aggregation case,
   /// docs/DESIGN.md §10). Instances in no group form the isolated
@@ -133,7 +124,6 @@ class Scenario {
   model::DescPtr desc_;
   ScenarioOptions options_;
   std::vector<Instance> instances_;
-  model::DescPtr batch_base_;
   std::vector<BatchGroup> batch_groups_;
 };
 

@@ -355,7 +355,7 @@ TEST(AdaptiveSweepTest, ComposedGroupsDeterministicAcrossThreads) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto desc = model::share(gen::make_random_architecture(seed, cfg));
     const Scenario composed = clones(desc, 3);
-    ASSERT_TRUE(composed.batchable());
+    ASSERT_EQ(composed.batch_groups().size(), 1u);
     const std::string ctx = "composed seed " + std::to_string(seed);
     const auto ref = run_backend(Backend::equivalent(), composed);
     for (const int threads : {1, 2, 8}) {

@@ -42,6 +42,28 @@ Scenario compose_clones(const model::DescPtr& desc, std::size_t n,
   return compose("clones", parts);
 }
 
+/// True when the whole composition is ONE equal-structure sub-batch.
+bool one_batch(const Scenario& s) {
+  return s.batch_groups().size() == 1 &&
+         s.batch_groups()[0].members.size() == s.instances().size();
+}
+
+/// The homogeneous sub-batch layout over \p base: member i occupies block
+/// [i * n, (i + 1) * n) of every merged table.
+core::BatchEquivalentModel::GroupSpec clone_spec(
+    const model::DescPtr& base, const std::vector<std::string>& names) {
+  core::BatchEquivalentModel::GroupSpec spec;
+  spec.base = base;
+  spec.names = names;
+  for (std::size_t i = 0; i < names.size(); ++i)
+    spec.spans.push_back({i * base->functions().size(),
+                          i * base->channels().size(),
+                          i * base->resources().size(),
+                          i * base->sources().size(),
+                          i * base->sinks().size()});
+  return spec;
+}
+
 /// Every instance of the composed run must match the solo run of the
 /// shared description bit for bit (instants in order; usage as sorted
 /// multisets, the suite-wide usage comparison convention).
@@ -116,15 +138,15 @@ void expect_batched_matches_isolated(const Scenario& composed,
 TEST(BatchEligibilityTest, SharedDescriptionIsBatchable) {
   const auto desc = model::share(gen::make_didactic({}));
   const Scenario c = compose_clones(desc, 3);
-  EXPECT_TRUE(c.batchable());
-  EXPECT_EQ(c.batch_base(), desc);
+  ASSERT_TRUE(one_batch(c));
+  EXPECT_EQ(c.batch_groups()[0].base, desc);
 }
 
 TEST(BatchEligibilityTest, DistinctDescriptionsAreNot) {
   std::vector<Scenario> parts;
   parts.emplace_back("a", gen::make_didactic({}));
   parts.emplace_back("b", gen::make_didactic({}));  // equal but not shared
-  EXPECT_FALSE(compose("pair", parts).batchable());
+  EXPECT_FALSE(one_batch(compose("pair", parts)));
 }
 
 TEST(BatchEligibilityTest, DisagreeingGroupsAreNot) {
@@ -136,17 +158,17 @@ TEST(BatchEligibilityTest, DisagreeingGroupsAreNot) {
   group[0] = group[1] = true;
   b.with_group(group);
   parts.push_back(b);
-  EXPECT_FALSE(compose("mixed", parts).batchable());
+  EXPECT_FALSE(one_batch(compose("mixed", parts)));
 
   // The same restriction on every instance keeps the batch eligible.
   std::vector<Scenario> uniform;
   uniform.push_back(Scenario("a", desc).with_group(group));
   uniform.push_back(Scenario("b", desc).with_group(group));
-  EXPECT_TRUE(compose("uniform", uniform).batchable());
+  EXPECT_TRUE(one_batch(compose("uniform", uniform)));
 }
 
 TEST(BatchEligibilityTest, PlainScenarioIsNot) {
-  EXPECT_FALSE(Scenario("solo", gen::make_didactic({})).batchable());
+  EXPECT_FALSE(one_batch(Scenario("solo", gen::make_didactic({}))));
 }
 
 // A batched model compiles the base program once: the reported graph shape
@@ -173,7 +195,7 @@ TEST(BatchIdentityTest, DidacticClonesMatchSolo) {
   const auto desc = model::share(gen::make_didactic(cfg));
   for (std::size_t n : {2u, 3u, 8u}) {
     const Scenario composed = compose_clones(desc, n);
-    ASSERT_TRUE(composed.batchable());
+    ASSERT_TRUE(one_batch(composed));
     expect_clones_match_solo(composed, desc, {},
                              ("didactic x" + std::to_string(n)).c_str());
   }
@@ -203,7 +225,7 @@ TEST(BatchIdentityTest, PartialGroupClonesMatchSolo) {
   std::vector<bool> group(desc->functions().size(), false);
   group[2] = group[3] = true;  // abstract F3+F4 only; F1/F2 stay simulated
   const Scenario composed = compose_clones(desc, 3, group);
-  ASSERT_TRUE(composed.batchable());
+  ASSERT_TRUE(one_batch(composed));
   expect_clones_match_solo(composed, desc, group, "partial group x3");
   expect_batched_matches_isolated(composed, "partial group x3");
 }
@@ -218,7 +240,7 @@ TEST(BatchIdentityTest, RandomArchSweep) {
     const auto desc =
         model::share(gen::make_random_architecture(seed, cfg));
     const Scenario composed = compose_clones(desc, 4);
-    ASSERT_TRUE(composed.batchable());
+    ASSERT_TRUE(one_batch(composed));
     const std::string ctx = "random seed " + std::to_string(seed);
     expect_clones_match_solo(composed, desc, {}, ctx.c_str());
     expect_batched_matches_isolated(composed, ctx.c_str());
@@ -233,7 +255,7 @@ TEST(BatchIdentityTest, EightLteReceiversMatchSolo) {
   cfg.seed = 77;
   const auto desc = model::share(lte::make_receiver(cfg));
   const Scenario composed = compose_clones(desc, 8);
-  ASSERT_TRUE(composed.batchable());
+  ASSERT_TRUE(one_batch(composed));
   expect_clones_match_solo(composed, desc, {}, "lte x8");
   expect_batched_matches_isolated(composed, "lte x8");
 }
@@ -291,15 +313,15 @@ TEST(BatchEngineTest, LockSteppedClonesFormWideFronts) {
 
   std::vector<std::string> names;
   for (const Instance& inst : composed.instances()) names.push_back(inst.name);
-  core::BatchEquivalentModel m(composed.desc_ptr(), composed.batch_base(),
-                               names, {});
+  core::BatchEquivalentModel m(composed.desc_ptr(), {clone_spec(base, names)},
+                               {});
   ASSERT_TRUE(m.run().completed);
-  ASSERT_GT(m.engine().fronts_drained(), 0u);
+  ASSERT_GT(m.engine(0).fronts_drained(), 0u);
   const double width =
-      static_cast<double>(m.engine().instances_computed()) /
-      static_cast<double>(m.engine().fronts_drained());
+      static_cast<double>(m.engine(0).instances_computed()) /
+      static_cast<double>(m.engine(0).fronts_drained());
   EXPECT_GT(width, 4.0);  // near 8 in practice; > 4 guards the mechanism
-  EXPECT_EQ(m.engine().width(), 8u);
+  EXPECT_EQ(m.engine(0).width(), 8u);
 }
 
 // ------------------------------------------- Heterogeneous sub-batches
@@ -359,7 +381,7 @@ TEST(HeterogeneousBatchTest, MixedCompositionFormsSubBatches) {
   parts.emplace_back("a2", a);
   const Scenario mixed = compose("mixed", parts);
 
-  EXPECT_FALSE(mixed.batchable());  // not ONE equal-structure batch
+  EXPECT_FALSE(one_batch(mixed));  // not ONE equal-structure batch
   EXPECT_TRUE(mixed.partially_batchable());
   ASSERT_EQ(mixed.batch_groups().size(), 2u);
   EXPECT_EQ(mixed.batch_groups()[0].base, a);
@@ -382,7 +404,7 @@ TEST(HeterogeneousBatchTest, EmptyAndExplicitAllTrueGroupsShareASubBatch) {
   const Scenario c = compose("norm", parts);
   ASSERT_EQ(c.batch_groups().size(), 1u);
   EXPECT_EQ(c.batch_groups()[0].members.size(), 2u);
-  EXPECT_TRUE(c.batchable());
+  EXPECT_TRUE(one_batch(c));
 }
 
 TEST(HeterogeneousBatchTest, EqualButDistinctDescriptionsStaySeparate) {
@@ -505,7 +527,7 @@ TEST(HeterogeneousBatchTest, FourPlusFourLteVariantsMatchSolos) {
     descs.push_back(rx2);
   }
   const Scenario mixed = compose("ca44", parts);
-  ASSERT_FALSE(mixed.batchable());
+  ASSERT_FALSE(one_batch(mixed));
   ASSERT_EQ(mixed.batch_groups().size(), 2u);
   ASSERT_EQ(mixed.batch_groups()[0].members.size(), 4u);
   ASSERT_EQ(mixed.batch_groups()[1].members.size(), 4u);
@@ -752,19 +774,20 @@ TEST(BatchEngineTest, MergedDescriptionMismatchRejected) {
   parts.emplace_back("a", base);
   parts.emplace_back("b", base);
   const Scenario composed = compose("c", parts);
-  // Wrong base for this merged description: the N-fold check must fire
-  // before anything is wired.
-  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(), other,
-                                          {"a", "b", "c"}, {}),
+  // An extra member of the right base: its span runs past the merged
+  // tables, and the check must fire before anything is wired.
+  EXPECT_THROW(core::BatchEquivalentModel(
+                   composed.desc_ptr(), {clone_spec(base, {"a", "b", "c"})},
+                   {}),
                DescriptionError);
   // Same table *sizes* but different content (token counts differ): the
   // structural replication check must still reject the wrong base.
-  EXPECT_THROW(
-      core::BatchEquivalentModel(composed.desc_ptr(), other, {"a", "b"}, {}),
-      DescriptionError);
+  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
+                                          {clone_spec(other, {"a", "b"})}, {}),
+               DescriptionError);
   // And the right base passes.
-  EXPECT_NO_THROW(
-      core::BatchEquivalentModel(composed.desc_ptr(), base, {"a", "b"}, {}));
+  EXPECT_NO_THROW(core::BatchEquivalentModel(
+      composed.desc_ptr(), {clone_spec(base, {"a", "b"})}, {}));
 }
 
 }  // namespace

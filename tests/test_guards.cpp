@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -7,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/equivalent_model.hpp"
 #include "core/lt_runner.hpp"
@@ -206,6 +208,30 @@ TEST(StallDiagnosticsTest, EquivalentStallNamesUnresolvedGates) {
   EXPECT_FALSE(out.diagnostics.unresolved_gates.empty());
   for (const std::string& gate : out.diagnostics.unresolved_gates)
     EXPECT_NE(gate.find("@k="), std::string::npos);
+}
+
+// A batched composition reports the parked gates of every abstraction it
+// runs: each sub-batch member's (named "<member>/<node>") and the isolated
+// remainder's (its merged node names, as the merged path names them).
+TEST(StallDiagnosticsTest, BatchedStallNamesRemainderGates) {
+  const model::DescPtr shared = model::share(stalling_desc());
+  std::vector<study::Scenario> parts;
+  parts.emplace_back("g0", shared);
+  parts.emplace_back("g1", shared);
+  parts.emplace_back("r0", stalling_desc());  // alone: isolated remainder
+  const study::Scenario composed = study::compose("stall3", parts);
+  ASSERT_EQ(composed.batch_groups().size(), 1u);
+
+  auto eq = study::Backend::equivalent().instantiate(composed);
+  const model::ModelRuntime::Outcome out = eq->run();
+  EXPECT_FALSE(out.completed);
+  const std::vector<std::string>& gates = out.diagnostics.unresolved_gates;
+  const auto has = [&gates](const std::string& gate) {
+    return std::find(gates.begin(), gates.end(), gate) != gates.end();
+  };
+  EXPECT_TRUE(has("g0/u:A@k=4")) << out.diagnostics.summary();
+  EXPECT_TRUE(has("g1/u:A@k=4")) << out.diagnostics.summary();
+  EXPECT_TRUE(has("u:r0/A@k=4")) << out.diagnostics.summary();
 }
 
 // -------------------------------------------------- per-cell isolation ----

@@ -328,7 +328,7 @@ TEST(DifferentialSweepTest, BatchedMatchesMergedReference) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const auto desc = model::share(gen::make_random_architecture(seed, cfg));
     const Scenario composed = clones(desc, 4);
-    ASSERT_TRUE(composed.batchable());
+    ASSERT_EQ(composed.batch_groups().size(), 1u);
     expect_batched_matches_merged(composed, "seed " + std::to_string(seed));
   }
 }
