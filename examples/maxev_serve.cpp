@@ -3,8 +3,7 @@
 /// serve::Session instances over a line-delimited JSON protocol on
 /// stdin/stdout — one request object per line in, one response per line
 /// out (serve/protocol.hpp documents the verbs). All sessions share one
-/// structural-hash program cache, so resubmitting an architecture skips
-/// the derive → compile pipeline.
+/// program cache (serve::ProgramCache), keyed by description identity.
 ///
 /// A second mode produces the reference the CI smoke test diffs streamed
 /// results against:

@@ -1,5 +1,6 @@
 #include "core/compiled.hpp"
 
+#include <functional>
 #include <utility>
 
 #include "tdg/simplify.hpp"
@@ -16,9 +17,8 @@ CompiledKey CompiledKey::make(model::DescPtr desc, std::vector<bool> group,
 }
 
 std::size_t hash_value(const CompiledKey& key) {
-  // Consistent with operator== (pointer identity implies structural
-  // equality); boost-style combine.
-  std::size_t h = model::structural_hash(*key.desc);
+  // Consistent with operator== (pointer identity); boost-style combine.
+  std::size_t h = std::hash<const model::ArchitectureDesc*>{}(key.desc.get());
   auto mix = [&h](std::size_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };

@@ -20,10 +20,10 @@
 /// Sharing rule (the Desc structural-surface contract, desc.hpp): a
 /// compiled tdg::Program holds the description's *behavioural*
 /// std::functions (guards, loads), which structural equality cannot see.
-/// Cache keys therefore compare the model::DescPtr by POINTER IDENTITY —
-/// only instances provably evaluating the same workload functions share an
-/// artifact — while model::structural_hash() serves as the hash/bucketing
-/// function (consistent: identical pointers are structurally equal).
+/// Cache keys therefore compare and hash the model::DescPtr by POINTER
+/// IDENTITY — only instances provably evaluating the same workload
+/// functions share an artifact. The key holds the shared_ptr, so a cached
+/// address cannot be reused by another description.
 
 namespace maxev::core {
 
@@ -50,7 +50,7 @@ struct CompiledKey {
   }
 };
 
-/// Hash consistent with CompiledKey equality: structural_hash(desc)
+/// Hash consistent with CompiledKey equality: the description's address
 /// combined with the group/fold/pad fields.
 [[nodiscard]] std::size_t hash_value(const CompiledKey& key);
 

@@ -224,77 +224,6 @@ std::uint64_t ArchitectureDesc::max_source_tokens() const {
   return max;
 }
 
-namespace {
-
-/// FNV-1a accumulation; the structural surface hashes as a flat byte/string
-/// stream so the result is stable across table reorderings of the *code*
-/// (it depends only on the description's declarative content).
-struct StructuralHasher {
-  std::size_t h = 1469598103934665603ull;
-
-  void bytes(const void* p, std::size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void str(const std::string& s) {
-    const std::size_t n = s.size();
-    bytes(&n, sizeof(n));
-    bytes(s.data(), s.size());
-  }
-  template <typename T>
-  void pod(T v) {
-    bytes(&v, sizeof(v));
-  }
-};
-
-}  // namespace
-
-std::size_t structural_hash(const ArchitectureDesc& d) {
-  StructuralHasher hh;
-  hh.pod(d.resources().size());
-  for (const ResourceDesc& r : d.resources()) {
-    hh.str(r.name);
-    hh.pod(r.policy);
-    hh.pod(r.ops_per_second);
-  }
-  hh.pod(d.channels().size());
-  for (const ChannelDesc& c : d.channels()) {
-    hh.str(c.name);
-    hh.pod(c.kind);
-    hh.pod(c.capacity);
-  }
-  hh.pod(d.functions().size());
-  for (const FunctionDesc& f : d.functions()) {
-    hh.str(f.name);
-    hh.pod(f.resource);
-    hh.pod(f.body.size());
-    for (const StatementDesc& s : f.body) {
-      hh.pod(s.kind);
-      hh.pod(s.channel);
-      hh.str(s.label);
-    }
-  }
-  hh.pod(d.sources().size());
-  for (const SourceDesc& s : d.sources()) {
-    hh.str(s.name);
-    hh.pod(s.channel);
-    hh.pod(s.count);
-  }
-  hh.pod(d.sinks().size());
-  for (const SinkDesc& s : d.sinks()) {
-    hh.str(s.name);
-    hh.pod(s.channel);
-    // consume_delay is opaque, but its *presence* is structural: a null
-    // delay means "sink always ready", which changes the derived TDG shape
-    // (no external actual-completion node).
-    hh.pod(static_cast<bool>(s.consume_delay));
-  }
-  return hh.h;
-}
-
 bool structurally_equal(const ArchitectureDesc& a, const ArchitectureDesc& b) {
   if (a.resources().size() != b.resources().size() ||
       a.channels().size() != b.channels().size() ||

@@ -195,15 +195,10 @@ class ArchitectureDesc {
 /// missing behavioural guarantee by shared ownership — instances holding
 /// the same model::DescPtr provably evaluate the same workload functions —
 /// so study::compose() groups instances by (DescPtr identity, abstraction
-/// group); structural_hash() keys the compiled-program cache
-/// (core::CompiledKey). Two equal-but-distinct descriptions stay in
-/// different sub-batches.
+/// group), and the compiled-program cache (core::CompiledKey) keys on the
+/// DescPtr the same way. Two equal-but-distinct descriptions stay in
+/// different sub-batches and compile separately.
 /// @{
-
-/// Order-independent-free hash of the structural surface (two structurally
-/// equal descriptions hash equal; collisions possible, resolve with
-/// structurally_equal()).
-[[nodiscard]] std::size_t structural_hash(const ArchitectureDesc& d);
 
 /// Deep comparison of the structural surface. Ignores the opaque
 /// behavioural std::function members (see the contract above).

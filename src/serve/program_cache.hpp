@@ -15,13 +15,13 @@
 /// combination share one derive → fold → pad → freeze → Program::compile
 /// product instead of redoing it.
 ///
-/// Keying (see core/compiled.hpp): model::structural_hash() buckets the
-/// entries, but equality is model::DescPtr POINTER identity — a compiled
-/// program embeds the description's behavioural std::functions, so only
-/// provably-same-workload requests may share it. An entry pins its
-/// description alive (the key holds the DescPtr); dropping every external
-/// reference to a description therefore does NOT evict its entries — evict
-/// by capacity, or clear() between unrelated workloads.
+/// Keying (see core/compiled.hpp): model::DescPtr POINTER identity, both
+/// for hashing and for equality — a compiled program embeds the
+/// description's behavioural std::functions, so only provably-same-workload
+/// requests may share it. An entry pins its description alive (the key
+/// holds the DescPtr); dropping every external reference to a description
+/// therefore does NOT evict its entries — evict by capacity, or clear()
+/// between unrelated workloads.
 
 namespace maxev::serve {
 

@@ -83,9 +83,9 @@ void PeriodDetector::observe(const std::vector<std::int64_t>& values,
     return;
   }
   // d_p(j) == d_p(j−1) ⟺ u(j) == u(j−p): one hash compare rejects the
-  // candidate on aperiodic frames (the per-iteration detector overhead the
-  // Ablation 10 aperiodic arm measures); a match is confirmed element-wise,
-  // so the counters stay exact.
+  // candidate on aperiodic frames (the per-iteration detector overhead
+  // maxevbench reports as study.adaptive.drag); a match is confirmed
+  // element-wise, so the counters stay exact.
   if (j >= valid_from_ + opts_.max_period + 1) {
     // Every candidate is past its warm-up gates. Aperiodic frames miss all
     // P hashes — one tight compare loop and a flat reset to one iteration

@@ -63,53 +63,40 @@ std::string Report::to_string() const {
 
 namespace {
 
-/// True when any cell carries cache counters; only then do the cache
-/// columns exist at all (cache-less reports stay byte-identical to the
-/// pre-cache format).
-bool has_cache_columns(const Report& r) {
-  for (const Cell& c : r.cells)
-    if (c.cache_hits >= 0 || c.cache_misses >= 0) return true;
-  return false;
+/// Optional counters (-1 = does not apply) render as an empty CSV cell.
+std::string csv_count(std::int64_t v) {
+  return v >= 0 ? std::to_string(v) : "";
 }
 
-/// Same convention for the adaptive fidelity columns: they exist only when
-/// some cell ran the adaptive backend.
-bool has_adaptive_columns(const Report& r) {
-  for (const Cell& c : r.cells)
-    if (c.extrapolated_iterations >= 0) return true;
-  return false;
-}
-
-std::vector<std::string> csv_header(bool with_cache, bool with_adaptive) {
-  std::vector<std::string> header = {
-      "scenario",       "backend",
-      "reference",      "completed",
-      "wall_seconds",   "kernel_events",
-      "resumes",        "relation_events",
-      "instances_computed", "arc_terms",
-      "sim_end_ps",     "graph_nodes",
-      "graph_paper_nodes", "graph_arcs",
-      "speedup_vs_ref", "event_ratio_vs_ref",
-      "kernel_event_ratio_vs_ref", "exact",
-      "max_abs_error_s", "mean_abs_error_s",
-      "status",          "error"};
-  if (with_cache) {
-    header.insert(header.end() - 2, "cache_hits");
-    header.insert(header.end() - 2, "cache_misses");
+/// Optional counters (-1 = does not apply) render as JSON null.
+void json_count(JsonWriter& w, const std::string& key, std::int64_t v) {
+  w.key(key);
+  if (v >= 0) {
+    w.value(v);
+  } else {
+    w.null_value();
   }
-  if (with_adaptive) {
-    header.insert(header.end() - 2, "fidelity");
-    header.insert(header.end() - 2, "extrapolated_iterations");
-    header.insert(header.end() - 2, "max_error_ps");
-  }
-  return header;
 }
 
-std::vector<std::string> csv_row(const Cell& c, bool with_cache,
-                                 bool with_adaptive) {
+const std::vector<std::string> kCsvHeader = {
+    "scenario",       "backend",
+    "reference",      "completed",
+    "wall_seconds",   "kernel_events",
+    "resumes",        "relation_events",
+    "instances_computed", "arc_terms",
+    "sim_end_ps",     "graph_nodes",
+    "graph_paper_nodes", "graph_arcs",
+    "speedup_vs_ref", "event_ratio_vs_ref",
+    "kernel_event_ratio_vs_ref", "exact",
+    "max_abs_error_s", "mean_abs_error_s",
+    "cache_hits",     "cache_misses",
+    "fidelity",       "extrapolated_iterations",
+    "max_error_ps",   "status",
+    "error"};
+
+std::vector<std::string> csv_row(const Cell& c) {
   const bool exact = c.errors.has_value() && c.errors->exact();
-  std::vector<std::string> row = {
-          c.scenario,
+  return {c.scenario,
           c.backend,
           c.is_reference ? "1" : "0",
           c.metrics.completed ? "1" : "0",
@@ -130,34 +117,20 @@ std::vector<std::string> csv_row(const Cell& c, bool with_cache,
           c.errors.has_value() ? format("%.9g", c.errors->max_abs_seconds) : "",
           c.errors.has_value() ? format("%.9g", c.errors->mean_abs_seconds)
                                : "",
+          csv_count(c.cache_hits),
+          csv_count(c.cache_misses),
+          c.fidelity,
+          csv_count(c.extrapolated_iterations),
+          csv_count(c.max_error_ps),
           c.failed ? "failed" : "ok",
           c.error};
-  if (with_cache) {
-    // Empty cells for a run the cache never saw (e.g. a failed cell).
-    row.insert(row.end() - 2,
-               c.cache_hits >= 0 ? std::to_string(c.cache_hits) : "");
-    row.insert(row.end() - 2,
-               c.cache_misses >= 0 ? std::to_string(c.cache_misses) : "");
-  }
-  if (with_adaptive) {
-    // Empty cells for non-adaptive backends in the same report.
-    row.insert(row.end() - 2, c.fidelity);
-    row.insert(row.end() - 2, c.extrapolated_iterations >= 0
-                                  ? std::to_string(c.extrapolated_iterations)
-                                  : "");
-    row.insert(row.end() - 2,
-               c.max_error_ps >= 0 ? std::to_string(c.max_error_ps) : "");
-  }
-  return row;
 }
 
 }  // namespace
 
 void Report::write_csv(const std::string& path) const {
-  const bool with_cache = has_cache_columns(*this);
-  const bool with_adaptive = has_adaptive_columns(*this);
-  CsvWriter csv(path, csv_header(with_cache, with_adaptive));
-  for (const Cell& c : cells) csv.row(csv_row(c, with_cache, with_adaptive));
+  CsvWriter csv(path, kCsvHeader);
+  for (const Cell& c : cells) csv.row(csv_row(c));
 }
 
 namespace {
@@ -193,13 +166,16 @@ JsonWriter build_json(const Report& r) {
     w.field("speedup_vs_ref", c.speedup_vs_reference);
     w.field("event_ratio_vs_ref", c.event_ratio_vs_reference);
     w.field("kernel_event_ratio_vs_ref", c.kernel_event_ratio_vs_reference);
-    if (c.cache_hits >= 0) w.field("cache_hits", c.cache_hits);
-    if (c.cache_misses >= 0) w.field("cache_misses", c.cache_misses);
-    if (c.extrapolated_iterations >= 0) {
-      w.field("fidelity", c.fidelity);
-      w.field("extrapolated_iterations", c.extrapolated_iterations);
-      w.field("max_error_ps", c.max_error_ps);
+    json_count(w, "cache_hits", c.cache_hits);
+    json_count(w, "cache_misses", c.cache_misses);
+    w.key("fidelity");
+    if (c.fidelity.empty()) {
+      w.null_value();
+    } else {
+      w.value(c.fidelity);
     }
+    json_count(w, "extrapolated_iterations", c.extrapolated_iterations);
+    json_count(w, "max_error_ps", c.max_error_ps);
     if (c.errors.has_value()) {
       w.key("errors").begin_object();
       w.field("exact", c.errors->exact());

@@ -18,7 +18,8 @@
 /// comparison (the paper's accuracy criterion) plus max/mean absolute
 /// instant error in seconds (the right metric for the loosely-timed
 /// backend, which is approximate by design). Writers reuse util/csv and
-/// util/json so reports feed the same tooling as the bench trajectory.
+/// util/json; both carry one fixed column set, with empty cells (CSV) or
+/// nulls (JSON) where a value does not apply.
 
 namespace maxev::study {
 
@@ -68,18 +69,15 @@ struct Cell {
 
   /// Program-cache consultations attributed to this cell's instantiations
   /// (StudyOptions::program_cache; serial-order replay, so the values are
-  /// identical at every thread count). -1 = the study ran without a cache;
-  /// the CSV/JSON writers then omit the columns, keeping cache-less
-  /// reports byte-identical to the pre-cache format.
+  /// identical at every thread count). -1 = the study ran without a cache
+  /// (or the cell failed first): an empty CSV cell, a JSON null.
   std::int64_t cache_hits = -1;
   std::int64_t cache_misses = -1;
 
   /// Adaptive-backend fidelity (Model::adaptive_stats()): "simulated" when
   /// the run stayed in full simulation, "extrapolated" when the analytic
-  /// fast-forward engaged. Empty for every other backend — the writers then
-  /// omit the three columns entirely, keeping adaptive-less reports
-  /// byte-identical to the previous format (same convention as the cache
-  /// counters above).
+  /// fast-forward engaged. Empty for every other backend — an empty CSV
+  /// cell, a JSON null (same convention as the cache counters above).
   std::string fidelity;
   /// Iterations filled in analytically (-1 = not an adaptive cell).
   std::int64_t extrapolated_iterations = -1;

@@ -64,16 +64,17 @@ struct StudyOptions {
   /// Cooperative cancellation, polled by every cell's kernel per event —
   /// one token cancels the whole matrix. Not owned; must outlive run().
   const util::CancelToken* cancel = nullptr;
-  /// Share one structural-hash program cache (serve::ProgramCache) across
-  /// the whole matrix: every (description, group, fold, pad) structure is
-  /// derived + compiled once per run() and reused by every cell and
-  /// repetition that asks for it again (RunConfig::compiled), including
-  /// composed scenarios' equal-structure sub-batches. Traces and every
-  /// pre-existing report column are identical either way; the per-cell
+  /// Share one program cache (serve::ProgramCache, keyed by DescPtr
+  /// identity) across the whole matrix: every (description, group, fold,
+  /// pad) abstraction is derived + compiled once per run() and reused by
+  /// every cell and repetition that asks for it again
+  /// (RunConfig::compiled), including composed scenarios' equal-structure
+  /// sub-batches. Traces and every other report column are identical
+  /// either way; the per-cell
   /// hit/miss counts (Cell::cache_hits/cache_misses) are attributed by a
   /// serial-order replay of the recorded key sequences, so the report
   /// stays byte-identical at every `threads` setting. Off = no cache, and
-  /// the cache columns are omitted from the CSV/JSON writers entirely.
+  /// the cache columns are empty (CSV) or null (JSON).
   bool program_cache = true;
   /// Catch each cell's failure (stall, tripped guard, thrown workload)
   /// into the report as a failed cell — status/error columns, console

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "util/error.hpp"
@@ -522,22 +521,6 @@ std::string json_dump(const JsonValue& v) {
   JsonWriter w;
   dump_into(v, w);
   return w.str();
-}
-
-std::string extract_json_flag(int& argc, char** argv) {
-  std::string path;
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      path = argv[i] + 7;
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
-  return path;
 }
 
 }  // namespace maxev

@@ -7,8 +7,8 @@
 #include <vector>
 
 /// \file json.hpp
-/// A minimal streaming JSON writer for the benchmark binaries' machine-
-/// readable output (scripts/bench_report.sh, BENCH_<n>.json), plus a small
+/// A minimal streaming JSON writer for machine-readable output (study
+/// reports, serve responses, the benchmark's results), plus a small
 /// recursive-descent parser (`json_parse`) producing a `JsonValue` tree for
 /// the serve wire format (serve/wire.hpp). Handles nesting, comma placement
 /// and string escaping; numbers are emitted with enough precision to
@@ -56,11 +56,6 @@ class JsonWriter {
   std::vector<bool> first_;  // per open container: no member emitted yet
   bool pending_key_ = false;  // a "key": was just emitted
 };
-
-/// Extract a `--json <path>` / `--json=<path>` flag from argv, compacting
-/// the array in place (argc is updated). Returns the path, empty when the
-/// flag is absent. Shared by the bench binaries' --json modes.
-[[nodiscard]] std::string extract_json_flag(int& argc, char** argv);
 
 /// Parsed JSON document node. Objects keep their members in an ordered map
 /// (deterministic iteration); numbers remember whether the source literal

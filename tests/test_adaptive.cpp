@@ -453,7 +453,7 @@ TEST(AdaptiveStudyTest, StudyFillsTheFidelityColumns) {
 
 /// A hand-built two-cell report (reference + adaptive) with every
 /// wall-clock-dependent field zeroed, so the documents are byte-stable.
-study::Report handmade_report(bool with_adaptive) {
+study::Report handmade_report() {
   study::Report r;
   r.scenarios = {"s"};
   r.backends = {"equivalent", "adaptive"};
@@ -469,50 +469,31 @@ study::Report handmade_report(bool with_adaptive) {
   ref.kernel_event_ratio_vs_reference = 1.0;
   r.cells.push_back(ref);
 
-  if (with_adaptive) {
-    study::Cell c;
-    c.scenario = "s";
-    c.backend = "adaptive";
-    c.metrics.completed = true;
-    c.errors = study::ErrorStats{};  // exact
-    c.fidelity = "extrapolated";
-    c.extrapolated_iterations = 42;
-    c.max_error_ps = 0;
-    r.cells.push_back(c);
-  }
+  study::Cell c;
+  c.scenario = "s";
+  c.backend = "adaptive";
+  c.metrics.completed = true;
+  c.errors = study::ErrorStats{};  // exact
+  c.fidelity = "extrapolated";
+  c.extrapolated_iterations = 42;
+  c.max_error_ps = 0;
+  r.cells.push_back(c);
   return r;
 }
 
 TEST(AdaptiveReportTest, CsvGoldenWithFidelityColumns) {
   const std::string path = ::testing::TempDir() + "maxev_adaptive_golden.csv";
-  handmade_report(true).write_csv(path);
+  handmade_report().write_csv(path);
   const std::string expected =
       "scenario,backend,reference,completed,wall_seconds,kernel_events,"
       "resumes,relation_events,instances_computed,arc_terms,sim_end_ps,"
       "graph_nodes,graph_paper_nodes,graph_arcs,speedup_vs_ref,"
       "event_ratio_vs_ref,kernel_event_ratio_vs_ref,exact,max_abs_error_s,"
-      "mean_abs_error_s,fidelity,extrapolated_iterations,max_error_ps,"
-      "status,error\n"
-      "s,equivalent,1,1,0,0,0,0,0,0,0,0,0,0,1,1,1,,,,,,,ok,\n"
-      "s,adaptive,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,extrapolated,42,0,"
+      "mean_abs_error_s,cache_hits,cache_misses,fidelity,"
+      "extrapolated_iterations,max_error_ps,status,error\n"
+      "s,equivalent,1,1,0,0,0,0,0,0,0,0,0,0,1,1,1,,,,,,,,,ok,\n"
+      "s,adaptive,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,,,extrapolated,42,0,"
       "ok,\n";
-  EXPECT_EQ(slurp(path), expected);
-  std::remove(path.c_str());
-}
-
-// Without an adaptive cell the documents are byte-identical to the legacy
-// format: no fidelity columns, no fidelity JSON keys.
-TEST(AdaptiveReportTest, CsvGoldenWithoutAdaptiveKeepsLegacyFormat) {
-  const std::string path =
-      ::testing::TempDir() + "maxev_adaptive_golden_legacy.csv";
-  handmade_report(false).write_csv(path);
-  const std::string expected =
-      "scenario,backend,reference,completed,wall_seconds,kernel_events,"
-      "resumes,relation_events,instances_computed,arc_terms,sim_end_ps,"
-      "graph_nodes,graph_paper_nodes,graph_arcs,speedup_vs_ref,"
-      "event_ratio_vs_ref,kernel_event_ratio_vs_ref,exact,max_abs_error_s,"
-      "mean_abs_error_s,status,error\n"
-      "s,equivalent,1,1,0,0,0,0,0,0,0,0,0,0,1,1,1,,,,ok,\n";
   EXPECT_EQ(slurp(path), expected);
   std::remove(path.c_str());
 }
@@ -526,24 +507,20 @@ TEST(AdaptiveReportTest, JsonGoldenWithFidelityFields) {
       R"("relation_events":0,"instances_computed":0,"arc_terms":0,)"
       R"("sim_end_ps":0,"graph_nodes":0,"graph_paper_nodes":0,)"
       R"("graph_arcs":0,"speedup_vs_ref":1,"event_ratio_vs_ref":1,)"
-      R"("kernel_event_ratio_vs_ref":1,"status":"ok"},{"scenario":"s",)"
+      R"("kernel_event_ratio_vs_ref":1,"cache_hits":null,"cache_misses":null,)"
+      R"("fidelity":null,"extrapolated_iterations":null,"max_error_ps":null,)"
+      R"("status":"ok"},{"scenario":"s",)"
       R"("backend":"adaptive","reference":false,"completed":true,)"
       R"("wall_seconds":0,"kernel_events":0,"resumes":0,)"
       R"("relation_events":0,"instances_computed":0,"arc_terms":0,)"
       R"("sim_end_ps":0,"graph_nodes":0,"graph_paper_nodes":0,)"
       R"("graph_arcs":0,"speedup_vs_ref":0,"event_ratio_vs_ref":0,)"
-      R"("kernel_event_ratio_vs_ref":0,"fidelity":"extrapolated",)"
+      R"("kernel_event_ratio_vs_ref":0,"cache_hits":null,"cache_misses":null,)"
+      R"("fidelity":"extrapolated",)"
       R"("extrapolated_iterations":42,"max_error_ps":0,)"
       R"("errors":{"exact":true,"max_abs_seconds":0,"mean_abs_seconds":0,)"
       R"("instants_compared":0},"status":"ok"}]})";
-  EXPECT_EQ(handmade_report(true).to_json(), expected);
-}
-
-TEST(AdaptiveReportTest, JsonWithoutAdaptiveOmitsFidelityFields) {
-  const std::string doc = handmade_report(false).to_json();
-  EXPECT_EQ(doc.find("fidelity"), std::string::npos);
-  EXPECT_EQ(doc.find("extrapolated_iterations"), std::string::npos);
-  EXPECT_EQ(doc.find("max_error_ps"), std::string::npos);
+  EXPECT_EQ(handmade_report().to_json(), expected);
 }
 
 }  // namespace

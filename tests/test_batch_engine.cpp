@@ -413,7 +413,6 @@ TEST(HeterogeneousBatchTest, EqualButDistinctDescriptionsStaySeparate) {
   const auto a = model::share(gen::make_didactic({}));
   const auto b = model::share(gen::make_didactic({}));
   ASSERT_TRUE(model::structurally_equal(*a, *b));
-  ASSERT_EQ(model::structural_hash(*a), model::structural_hash(*b));
   std::vector<Scenario> parts;
   parts.emplace_back("a0", a);
   parts.emplace_back("b0", b);

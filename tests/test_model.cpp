@@ -333,7 +333,6 @@ TEST(StructuralEqualityTest, EqualDescriptionsHashAndCompareEqual) {
   const ArchitectureDesc b = gen::make_didactic({});
   EXPECT_TRUE(structurally_equal(a, b));
   EXPECT_TRUE(structurally_equal(a, a));
-  EXPECT_EQ(structural_hash(a), structural_hash(b));
 }
 
 TEST(StructuralEqualityTest, StructuralDifferencesAreDetected) {
@@ -343,13 +342,11 @@ TEST(StructuralEqualityTest, StructuralDifferencesAreDetected) {
   tokens_cfg.tokens = 7;  // source token counts ARE structural
   const ArchitectureDesc tokens = gen::make_didactic(tokens_cfg);
   EXPECT_FALSE(structurally_equal(base, tokens));
-  EXPECT_NE(structural_hash(base), structural_hash(tokens));
 
   gen::DidacticConfig sched_cfg;
   sched_cfg.p2_limited_concurrency = true;  // a resource policy change
   const ArchitectureDesc sched = gen::make_didactic(sched_cfg);
   EXPECT_FALSE(structurally_equal(base, sched));
-  EXPECT_NE(structural_hash(base), structural_hash(sched));
 }
 
 TEST(StructuralEqualityTest, OpaqueWorkloadsAreOutsideTheSurface) {
@@ -377,7 +374,6 @@ TEST(StructuralEqualityTest, OpaqueWorkloadsAreOutsideTheSurface) {
   const ArchitectureDesc light = build(100);
   const ArchitectureDesc heavy = build(100000);
   EXPECT_TRUE(structurally_equal(light, heavy));
-  EXPECT_EQ(structural_hash(light), structural_hash(heavy));
 }
 
 TEST(BaselineTest, P2LimitedConcurrencyVariantRuns) {

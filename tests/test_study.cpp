@@ -488,16 +488,14 @@ TEST(ComposeTest, ComposedScenarioRunsThroughStudy) {
 
 // ------------------------------------------------------------------ Report
 
-Report tiny_report(bool program_cache = true) {
+Report tiny_report() {
   gen::DidacticConfig cfg;
   cfg.tokens = 5;
   Study st;
   st.add(Scenario("didactic", gen::make_didactic(cfg)));
   st.add(Backend::baseline());
   st.add(Backend::equivalent());
-  StudyOptions opts;
-  opts.program_cache = program_cache;
-  Report rep = st.run(opts);
+  Report rep = st.run();
   // Blank the wall-clock-dependent fields so the document is deterministic.
   for (Cell& c : rep.cells) {
     c.metrics.wall_seconds = 0.0;
@@ -514,29 +512,12 @@ TEST(ReportTest, CsvGolden) {
       "resumes,relation_events,instances_computed,arc_terms,sim_end_ps,"
       "graph_nodes,graph_paper_nodes,graph_arcs,speedup_vs_ref,"
       "event_ratio_vs_ref,kernel_event_ratio_vs_ref,exact,max_abs_error_s,"
-      "mean_abs_error_s,cache_hits,cache_misses,status,error\n"
-      "didactic,baseline,1,1,0,76,76,30,0,0,61316000,0,0,0,1,1,1,,,,0,0,ok,\n"
+      "mean_abs_error_s,cache_hits,cache_misses,fidelity,"
+      "extrapolated_iterations,max_error_ps,status,error\n"
+      "didactic,baseline,1,1,0,76,76,30,0,0,61316000,0,0,0,1,1,1,,,,0,0,,,,"
+      "ok,\n"
       "didactic,equivalent,0,1,0,23,23,10,30,50,61316000,7,10,10,0,3,"
-      "3.30434783,1,0,0,0,1,ok,\n";
-  EXPECT_EQ(slurp(path), expected);
-  std::remove(path.c_str());
-}
-
-// With the program cache off, the cache columns vanish and the documents
-// are byte-identical to the pre-cache format.
-TEST(ReportTest, CsvGoldenWithoutCacheKeepsLegacyFormat) {
-  const std::string path =
-      ::testing::TempDir() + "maxev_report_golden_nocache.csv";
-  tiny_report(/*program_cache=*/false).write_csv(path);
-  const std::string expected =
-      "scenario,backend,reference,completed,wall_seconds,kernel_events,"
-      "resumes,relation_events,instances_computed,arc_terms,sim_end_ps,"
-      "graph_nodes,graph_paper_nodes,graph_arcs,speedup_vs_ref,"
-      "event_ratio_vs_ref,kernel_event_ratio_vs_ref,exact,max_abs_error_s,"
-      "mean_abs_error_s,status,error\n"
-      "didactic,baseline,1,1,0,76,76,30,0,0,61316000,0,0,0,1,1,1,,,,ok,\n"
-      "didactic,equivalent,0,1,0,23,23,10,30,50,61316000,7,10,10,0,3,"
-      "3.30434783,1,0,0,ok,\n";
+      "3.30434783,1,0,0,0,1,,,,ok,\n";
   EXPECT_EQ(slurp(path), expected);
   std::remove(path.c_str());
 }
@@ -551,6 +532,7 @@ TEST(ReportTest, JsonGolden) {
       R"("sim_end_ps":61316000,"graph_nodes":0,"graph_paper_nodes":0,)"
       R"("graph_arcs":0,"speedup_vs_ref":1,"event_ratio_vs_ref":1,)"
       R"("kernel_event_ratio_vs_ref":1,"cache_hits":0,"cache_misses":0,)"
+      R"("fidelity":null,"extrapolated_iterations":null,"max_error_ps":null,)"
       R"("status":"ok"},{"scenario":"didactic",)"
       R"("backend":"equivalent","reference":false,"completed":true,)"
       R"("wall_seconds":0,"kernel_events":23,"resumes":23,)"
@@ -558,7 +540,8 @@ TEST(ReportTest, JsonGolden) {
       R"("sim_end_ps":61316000,"graph_nodes":7,"graph_paper_nodes":10,)"
       R"("graph_arcs":10,"speedup_vs_ref":0,"event_ratio_vs_ref":3,)"
       R"("kernel_event_ratio_vs_ref":3.3043478260869565,)"
-      R"("cache_hits":0,"cache_misses":1,)"
+      R"("cache_hits":0,"cache_misses":1,"fidelity":null,)"
+      R"("extrapolated_iterations":null,"max_error_ps":null,)"
       R"("errors":{"exact":true,"max_abs_seconds":0,"mean_abs_seconds":0,)"
       R"("instants_compared":30},"status":"ok"}]})";
   EXPECT_EQ(tiny_report().to_json(), expected);
@@ -567,12 +550,6 @@ TEST(ReportTest, JsonGolden) {
   tiny_report().write_json(path);
   EXPECT_EQ(slurp(path), expected + "\n");  // write_file ends the document
   std::remove(path.c_str());
-}
-
-TEST(ReportTest, JsonGoldenWithoutCacheOmitsCacheFields) {
-  const std::string doc = tiny_report(/*program_cache=*/false).to_json();
-  EXPECT_EQ(doc.find("cache_hits"), std::string::npos);
-  EXPECT_EQ(doc.find("cache_misses"), std::string::npos);
 }
 
 TEST(ReportTest, ConsoleRenderingMentionsEveryCell) {
