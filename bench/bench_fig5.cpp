@@ -18,6 +18,10 @@
 ///    both models, which lands the knee and crossover in the paper's
 ///    decades (~100 / ~1000 nodes).
 ///
+/// Before the sweeps, one observed equivalent run per |X| at pad 0 and pad
+/// 5,000 is checked against the baseline's live observation; the program
+/// exits 1 when any instant or busy interval differs.
+///
 /// Emits fig5_native.csv and fig5_commercial.csv.
 
 #include <chrono>
@@ -27,6 +31,8 @@
 #include "core/equivalent_model.hpp"
 #include "gen/padded.hpp"
 #include "model/baseline.hpp"
+#include "trace/instants.hpp"
+#include "trace/usage.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -67,6 +73,46 @@ double run_equivalent(const model::ArchitectureDesc& desc,
   const auto t0 = Clock::now();
   (void)eq.run();
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Observed equivalent run at \p pad_nodes against the baseline's live
+/// observation: true when instants and usage are identical.
+bool accurate(const model::ArchitectureDesc& desc,
+              const model::ModelRuntime& baseline, std::size_t pad_nodes) {
+  core::EquivalentModel::Options opts;
+  opts.pad_nodes = pad_nodes;
+  core::EquivalentModel eq(desc, {}, opts);
+  if (!eq.run().completed) return false;
+  trace::UsageTraceSet a = baseline.usage();
+  trace::UsageTraceSet b = eq.usage();
+  a.sort_all();
+  b.sort_all();
+  return !trace::compare_instants(baseline.instants(), eq.instants()) &&
+         !trace::compare_usage(a, b);
+}
+
+/// The accuracy check outside the timed sweeps; false on any mismatch.
+bool check_accuracy() {
+  ConsoleTable table({"|X|", "pad 0", "pad 5000"});
+  bool all = true;
+  for (std::size_t x : kXSizes) {
+    gen::PipelineConfig cfg;
+    cfg.x_size = x;
+    cfg.tokens = kTokens;
+    const model::ArchitectureDesc desc = gen::make_pipeline(cfg);
+    model::ModelRuntime baseline(desc);
+    if (!baseline.run().completed) return false;
+    std::vector<std::string> row = {format("%zu", x)};
+    for (std::size_t pad : {std::size_t{0}, std::size_t{5000}}) {
+      const bool ok = accurate(desc, baseline, pad);
+      all = all && ok;
+      row.push_back(ok ? "yes" : "NO");
+    }
+    table.add_row(row);
+  }
+  std::printf("accuracy (instants and usage vs baseline):\n%s\n",
+              table.render().c_str());
+  return all;
 }
 
 void sweep(const char* title, double overhead_ns, const char* csv_path) {
@@ -112,6 +158,11 @@ void sweep(const char* title, double overhead_ns, const char* csv_path) {
 int main() {
   std::printf("Fig. 5 reproduction: speed-up vs TDG node count, %s tokens\n\n",
               with_commas(static_cast<std::int64_t>(kTokens)).c_str());
+  if (!check_accuracy()) {
+    std::fprintf(stderr, "bench_fig5: equivalent traces differ from the "
+                         "baseline (NO)\n");
+    return 1;
+  }
   sweep("native kernel (~60ns/event):", 0.0, "fig5_native.csv");
   sweep("commercial-kernel regime (synthetic 1us/event):", 1000.0,
         "fig5_commercial.csv");

@@ -61,8 +61,8 @@ void BatchEngine::init_from_program() {
   for (std::size_t n = 0; n < n_nodes_; ++n) {
     for (std::int32_t s = prog_.in_arc_offsets[n];
          s < prog_.in_arc_offsets[n + 1]; ++s) {
-      const auto a = static_cast<std::size_t>(s);
-      if (prog_.in_guard[a] >= 0 || prog_.in_prog_off[a] >= 0) {
+      const Program::InArc& arc = prog_.in_arcs[static_cast<std::size_t>(s)];
+      if (arc.guard >= 0 || arc.prog_off >= 0) {
         uniform_[n] = 0;
         break;
       }
@@ -285,16 +285,15 @@ void BatchEngine::resolve_dependents(Frame& f, NodeId n, std::uint64_t k,
   // after the worklist empties), so f stays valid across callbacks.
   for (std::int32_t s = prog_.out_arc_offsets[static_cast<std::size_t>(n)];
        s < prog_.out_arc_offsets[static_cast<std::size_t>(n) + 1]; ++s) {
-    const auto a = static_cast<std::size_t>(s);
-    const std::uint32_t lag = prog_.out_lag[a];
-    if (lag == 0) {
-      decrement(f, prog_.out_dst[a], k, inst);
+    const Program::OutArc& arc = prog_.out_arcs[static_cast<std::size_t>(s)];
+    if (arc.lag == 0) {
+      decrement(f, arc.dst, k, inst);
       continue;
     }
-    const std::uint64_t kk = k + lag;
+    const std::uint64_t kk = k + arc.lag;
     // If the target frame does not exist yet, its init will see this
     // instance as already known and not count it.
-    if (Frame* tf = frame_at(kk)) decrement(*tf, prog_.out_dst[a], kk, inst);
+    if (Frame* tf = frame_at(kk)) decrement(*tf, arc.dst, kk, inst);
   }
 }
 
@@ -331,13 +330,18 @@ bool BatchEngine::fire_deferred() {
 
 void BatchEngine::drain() {
   if (draining_) return;  // single drain loop; nested calls just enqueue
+  // Reset the flag on unwind too (see Engine::drain): a throwing closure
+  // must not leave every later flush() a no-op.
+  struct Scope {
+    bool& flag;
+    ~Scope() { flag = false; }
+  } scope{draining_};
   draining_ = true;
   while (!worklist_.empty()) {
     auto [n, k] = worklist_.back();
     worklist_.pop_back();
     compute_front(n, k);
   }
-  draining_ = false;
 }
 
 mp::Scalar BatchEngine::compute_one(Frame& f, NodeId n, std::uint64_t k,
@@ -353,37 +357,30 @@ mp::Scalar BatchEngine::compute_one(Frame& f, NodeId n, std::uint64_t k,
   mp::Scalar acc = mp::Scalar::eps();
   for (std::int32_t s = prog_.in_arc_offsets[static_cast<std::size_t>(n)];
        s < prog_.in_arc_offsets[static_cast<std::size_t>(n) + 1]; ++s) {
-    const auto a = static_cast<std::size_t>(s);
-    const std::int32_t gi = prog_.in_guard[a];
-    if (gi >= 0 &&
-        !prog_.guards[static_cast<std::size_t>(gi)](
-            f.attrs[static_cast<std::size_t>(prog_.in_attr_source[a]) * width_ +
-                    inst],
+    const Program::InArc& arc = prog_.in_arcs[static_cast<std::size_t>(s)];
+    if (arc.guard >= 0 &&
+        !prog_.guards[static_cast<std::size_t>(arc.guard)](
+            f.attrs[static_cast<std::size_t>(arc.attr_source) * width_ + inst],
             k))
       continue;
-    const std::uint32_t lag = prog_.in_lag[a];
     mp::Scalar cursor;
-    if (lag == 0) {  // same-frame source: skip the frame lookup
-      cursor =
-          frame_value(f, lane(static_cast<std::size_t>(prog_.in_src[a]), inst));
-    } else if (lag > k) {
+    if (arc.lag == 0) {  // same-frame source: skip the frame lookup
+      cursor = frame_value(f, lane(static_cast<std::size_t>(arc.src), inst));
+    } else if (arc.lag > k) {
       cursor = mp::Scalar::e();  // simulation origin
     } else {
-      cursor = frame_value(
-          *frame_at(k - lag),
-          lane(static_cast<std::size_t>(prog_.in_src[a]), inst));
+      cursor = frame_value(*frame_at(k - arc.lag),
+                           lane(static_cast<std::size_t>(arc.src), inst));
     }
     ++arc_terms_;
     if (cursor.is_eps()) continue;  // guarded-off upstream
-    const std::int32_t po = prog_.in_prog_off[a];
-    if (po < 0) {
-      cursor = cursor * prog_.in_fixed[a];  // pure delay, pre-folded
+    if (arc.prog_off < 0) {
+      cursor = cursor * arc.fixed;  // pure delay, pre-folded
     } else {
       const model::TokenAttrs& attrs =
-          f.attrs[static_cast<std::size_t>(prog_.in_attr_source[a]) * width_ +
-                  inst];
-      const auto end = static_cast<std::size_t>(po + prog_.in_prog_len[a]);
-      for (auto j = static_cast<std::size_t>(po); j < end; ++j) {
+          f.attrs[static_cast<std::size_t>(arc.attr_source) * width_ + inst];
+      const auto end = static_cast<std::size_t>(arc.prog_off + arc.prog_len);
+      for (auto j = static_cast<std::size_t>(arc.prog_off); j < end; ++j) {
         if (!prog_.op_exec[j]) {
           cursor = cursor * prog_.op_fixed[j];
           continue;
@@ -457,17 +454,15 @@ void BatchEngine::compute_front(NodeId n, std::uint64_t k) {
     for (std::size_t i = 0; i < width_; ++i)
       set_frame_value(f, base + i, mp::Scalar::eps());
     for (std::int32_t s = a0; s < a1; ++s) {
-      const auto a = static_cast<std::size_t>(s);
-      const std::uint32_t lag = prog_.in_lag[a];
-      const mp::Scalar wgt = prog_.in_fixed[a];
-      if (lag > k) {
+      const Program::InArc& arc = prog_.in_arcs[static_cast<std::size_t>(s)];
+      const mp::Scalar wgt = arc.fixed;
+      if (arc.lag > k) {
         const mp::Scalar v = mp::Scalar::e() * wgt;  // simulation origin
         for (std::size_t i = 0; i < width_; ++i)
           set_frame_value(f, base + i, frame_value(f, base + i) + v);
       } else {
-        const Frame& sf = lag == 0 ? f : *frame_at(k - lag);
-        const std::size_t src =
-            lane(static_cast<std::size_t>(prog_.in_src[a]), 0);
+        const Frame& sf = arc.lag == 0 ? f : *frame_at(k - arc.lag);
+        const std::size_t src = lane(static_cast<std::size_t>(arc.src), 0);
         for (std::size_t i = 0; i < width_; ++i)
           set_frame_value(
               f, base + i,
@@ -518,12 +513,11 @@ void BatchEngine::finish_uniform_front(Frame& f, NodeId n, std::uint64_t k) {
   const std::int32_t o0 = prog_.out_arc_offsets[nn];
   const std::int32_t o1 = prog_.out_arc_offsets[nn + 1];
   for (std::int32_t s = o0; s < o1; ++s) {
-    const auto a = static_cast<std::size_t>(s);
-    const std::uint32_t lag = prog_.out_lag[a];
-    const std::uint64_t kk = k + lag;
-    Frame* tf = lag == 0 ? &f : frame_at(kk);
+    const Program::OutArc& arc = prog_.out_arcs[static_cast<std::size_t>(s)];
+    const std::uint64_t kk = k + arc.lag;
+    Frame* tf = arc.lag == 0 ? &f : frame_at(kk);
     if (tf == nullptr) continue;  // future frame: init will count us known
-    const auto dst = static_cast<std::size_t>(prog_.out_dst[a]);
+    const auto dst = static_cast<std::size_t>(arc.dst);
     std::uint64_t* block = &tf->ready[dst * words_];
     bool nonempty = false;
     for (std::size_t w = 0; w < words_ && !nonempty; ++w)
@@ -538,7 +532,7 @@ void BatchEngine::finish_uniform_front(Frame& f, NodeId n, std::uint64_t k) {
         any_ready = true;
       }
     }
-    if (any_ready && !nonempty) worklist_.push_back({prog_.out_dst[a], kk});
+    if (any_ready && !nonempty) worklist_.push_back({arc.dst, kk});
   }
 }
 

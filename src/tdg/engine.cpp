@@ -92,11 +92,11 @@ void Engine::compile() {
 }
 
 void Engine::init_frame(Frame& f, std::uint64_t k) {
-  // f.value is deliberately not cleared: a value is only ever read behind a
-  // known[] check (dependency counting guarantees sources are known), and
-  // mark_known stores it right before setting known — stale values from a
-  // recycled frame are unreachable.
-  std::fill(f.known.begin(), f.known.end(), std::uint8_t{0});
+  // f.value is deliberately not cleared: a value is only ever read once its
+  // instance is known (dependency counting guarantees sources are known),
+  // and mark_known stores it right before storing kKnown — stale values
+  // from a recycled frame are unreachable. The memcpy below resets every
+  // kKnown left in pending.
   std::fill(f.attr_known.begin(), f.attr_known.end(), std::uint8_t{0});
   f.known_count = 0;
 
@@ -116,7 +116,7 @@ void Engine::init_frame(Frame& f, std::uint64_t k) {
       if (prog_.lagged_lag[s] > k) continue;  // pre-history: simulation origin
       const Frame* sf = frame_at(k - prog_.lagged_lag[s]);
       if (sf == nullptr ||
-          !sf->known[static_cast<std::size_t>(prog_.lagged_src[s])])
+          sf->pending[static_cast<std::size_t>(prog_.lagged_src[s])] != kKnown)
         ++p;
     }
     f.pending[static_cast<std::size_t>(n)] = p;
@@ -132,7 +132,6 @@ Engine::Frame& Engine::ensure_frame(std::uint64_t k) {
     if (frame_pool_.empty()) {
       Frame f;
       f.value.resize(n_nodes_);
-      f.known.resize(n_nodes_);
       f.pending.resize(n_nodes_);
       f.attr_known.resize(n_sources_);
       f.attrs.resize(n_sources_);
@@ -165,11 +164,12 @@ void Engine::set_external(NodeId n, std::uint64_t k, TimePoint value) {
     throw Error("tdg::Engine: set_external on computed node '" + node.name +
                 "'");
   Frame& f = ensure_frame(k);
-  if (f.known[static_cast<std::size_t>(n)])
+  if (f.pending[static_cast<std::size_t>(n)] == kKnown)
     throw Error("tdg::Engine: instance (" + node.name + ", " +
                 std::to_string(k) + ") already known");
   mark_known(f, n, k, mp::Scalar::from_time(value));
-  resolve_dependents(f, n, k);
+  const Ready next = resolve_dependents(f, n, k);
+  if (next.node >= 0) worklist_.push_back(next);
   drain();
 }
 
@@ -182,13 +182,13 @@ void Engine::set_attrs(model::SourceId s, std::uint64_t k,
   f.attrs[static_cast<std::size_t>(s)] = attrs;
   f.attr_known[static_cast<std::size_t>(s)] = 1;
   for (const NodeId dst : prog_.attr_dsts_by_source[static_cast<std::size_t>(s)])
-    decrement(f, dst, k);
+    if (decrement(f, dst)) worklist_.push_back({dst, k});
   drain();
 }
 
 void Engine::mark_known(Frame& f, NodeId n, std::uint64_t k, mp::Scalar v) {
   f.value[static_cast<std::size_t>(n)] = v;
-  f.known[static_cast<std::size_t>(n)] = 1;
+  f.pending[static_cast<std::size_t>(n)] = kKnown;
   ++f.known_count;
   const std::uint8_t flags = node_flags_[static_cast<std::size_t>(n)];
   if (flags == 0) return;  // common case: no observer on this node
@@ -202,20 +202,23 @@ void Engine::flush_instants(NodeId n) {
   trace::InstantSeries& series = *record_series_[static_cast<std::size_t>(n)];
   while (true) {
     const Frame* f = frame_at(next_flush_[static_cast<std::size_t>(n)]);
-    if (f == nullptr || !f->known[static_cast<std::size_t>(n)]) break;
+    if (f == nullptr || f->pending[static_cast<std::size_t>(n)] != kKnown)
+      break;
     const mp::Scalar v = f->value[static_cast<std::size_t>(n)];
     if (v.is_finite()) series.push(v.to_time());
     ++next_flush_[static_cast<std::size_t>(n)];
   }
 }
 
-void Engine::decrement(Frame& f, NodeId n, std::uint64_t k) {
-  if (f.known[static_cast<std::size_t>(n)]) return;
-  if (--f.pending[static_cast<std::size_t>(n)] == 0)
-    worklist_.push_back({n, k});
+bool Engine::decrement(Frame& f, NodeId n) {
+  // Known instances hold kKnown and externally fed ones a negative count:
+  // neither is decremented, and neither ever becomes ready here.
+  std::int32_t& p = f.pending[static_cast<std::size_t>(n)];
+  if (p <= 0) return false;
+  return --p == 0;
 }
 
-void Engine::resolve_dependents(Frame& f, NodeId n, std::uint64_t k) {
+Engine::Ready Engine::resolve_dependents(Frame& f, NodeId n, std::uint64_t k) {
   // f serves every same-frame dependent without a lookup — except when n
   // carries an on_known callback, whose retain-floor raise may have pruned
   // iteration k re-entrantly during mark_known: re-fetch, and a null fk
@@ -224,37 +227,61 @@ void Engine::resolve_dependents(Frame& f, NodeId n, std::uint64_t k) {
   Frame* fk = node_flags_[static_cast<std::size_t>(n)] & kHasCallback
                   ? frame_at(k)
                   : &f;
+  Ready last;
   for (std::int32_t i = prog_.out_arc_offsets[static_cast<std::size_t>(n)];
        i < prog_.out_arc_offsets[static_cast<std::size_t>(n) + 1]; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    const std::uint32_t lag = prog_.out_lag[s];
-    if (lag == 0) {
-      if (fk != nullptr) decrement(*fk, prog_.out_dst[s], k);
-      continue;
-    }
-    const std::uint64_t kk = k + lag;
-    // If the target frame does not exist yet, its init will see this
+    const Program::OutArc& arc = prog_.out_arcs[static_cast<std::size_t>(i)];
+    const std::uint64_t kk = k + arc.lag;
+    // If a lagged target frame does not exist yet, its init will see this
     // instance as already known and not count it.
-    if (Frame* tf = frame_at(kk)) decrement(*tf, prog_.out_dst[s], kk);
+    Frame* tf = arc.lag == 0 ? fk : frame_at(kk);
+    if (tf == nullptr || !decrement(*tf, arc.dst)) continue;
+    if (last.node >= 0) worklist_.push_back(last);
+    last = {arc.dst, kk};
   }
+  return last;
 }
 
 void Engine::drain() {
   if (draining_) return;  // single drain loop; nested calls just enqueue
+  // Reset the flag on unwind too: a guard/load closure, an overflow or an
+  // observer that throws mid-drain must not leave every later feed
+  // enqueue-only.
+  struct Scope {
+    bool& flag;
+    ~Scope() { flag = false; }
+  } scope{draining_};
   draining_ = true;
   while (!worklist_.empty()) {
-    auto [n, k] = worklist_.back();
+    const Ready r = worklist_.back();
     worklist_.pop_back();
-    compute(n, k);
+    compute(r.node, r.k);
   }
-  draining_ = false;
   prune();
 }
 
 void Engine::compute(NodeId n, std::uint64_t k) {
-  Frame& f = *frame_at(k);
-  if (f.known[static_cast<std::size_t>(n)]) return;
+  Frame* f = frame_at(k);
+  if (f->pending[static_cast<std::size_t>(n)] == kKnown) return;
+  while (true) {
+    const mp::Scalar v = evaluate(*f, n, k);
+    ++computed_;
+    mark_known(*f, n, k, v);
+    const Ready next = resolve_dependents(*f, n, k);
+    if (next.node < 0) return;
+    // Continue with the instance the worklist would have popped next. Its
+    // frame is *f unless it lies in another iteration, or n's callback may
+    // have pruned frames (resolve_dependents re-fetches for the same
+    // reason).
+    if (next.k != k ||
+        (node_flags_[static_cast<std::size_t>(n)] & kHasCallback))
+      f = frame_at(next.k);
+    n = next.node;
+    k = next.k;
+  }
+}
 
+mp::Scalar Engine::evaluate(const Frame& f, NodeId n, std::uint64_t k) {
   // Every prerequisite is resolved: ⊕ over arcs of src ⊗ (composed segment
   // weights), emitting busy intervals as segment positions are determined
   // (the paper's observation time). Loads are evaluated exactly once.
@@ -266,32 +293,28 @@ void Engine::compute(NodeId n, std::uint64_t k) {
   mp::Scalar acc = mp::Scalar::eps();
   for (std::int32_t i = prog_.in_arc_offsets[static_cast<std::size_t>(n)];
        i < prog_.in_arc_offsets[static_cast<std::size_t>(n) + 1]; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    const std::int32_t gi = prog_.in_guard[s];
-    if (gi >= 0 &&
-        !prog_.guards[static_cast<std::size_t>(gi)](
-            f.attrs[static_cast<std::size_t>(prog_.in_attr_source[s])], k))
+    const Program::InArc& arc = prog_.in_arcs[static_cast<std::size_t>(i)];
+    if (arc.guard >= 0 &&
+        !prog_.guards[static_cast<std::size_t>(arc.guard)](
+            f.attrs[static_cast<std::size_t>(arc.attr_source)], k))
       continue;
-    const std::uint32_t lag = prog_.in_lag[s];
     mp::Scalar cursor;
-    if (lag == 0) {  // same-frame source: skip the frame lookup
-      cursor = f.value[static_cast<std::size_t>(prog_.in_src[s])];
-    } else if (lag > k) {
+    if (arc.lag == 0) {  // same-frame source: skip the frame lookup
+      cursor = f.value[static_cast<std::size_t>(arc.src)];
+    } else if (arc.lag > k) {
       cursor = mp::Scalar::e();  // simulation origin
     } else {
-      cursor =
-          frame_at(k - lag)->value[static_cast<std::size_t>(prog_.in_src[s])];
+      cursor = frame_at(k - arc.lag)->value[static_cast<std::size_t>(arc.src)];
     }
     ++arc_terms_;
     if (cursor.is_eps()) continue;  // guarded-off upstream
-    const std::int32_t po = prog_.in_prog_off[s];
-    if (po < 0) {
-      cursor = cursor * prog_.in_fixed[s];  // pure delay, pre-folded
+    if (arc.prog_off < 0) {
+      cursor = cursor * arc.fixed;  // pure delay, pre-folded
     } else {
       const model::TokenAttrs& attrs =
-          f.attrs[static_cast<std::size_t>(prog_.in_attr_source[s])];
-      const auto end = static_cast<std::size_t>(po + prog_.in_prog_len[s]);
-      for (auto j = static_cast<std::size_t>(po); j < end; ++j) {
+          f.attrs[static_cast<std::size_t>(arc.attr_source)];
+      const auto end = static_cast<std::size_t>(arc.prog_off + arc.prog_len);
+      for (auto j = static_cast<std::size_t>(arc.prog_off); j < end; ++j) {
         if (!prog_.op_exec[j]) {
           cursor = cursor * prog_.op_fixed[j];
           continue;
@@ -324,10 +347,7 @@ void Engine::compute(NodeId n, std::uint64_t k) {
     }
     acc = acc + cursor;
   }
-
-  ++computed_;
-  mark_known(f, n, k, acc);
-  resolve_dependents(f, n, k);
+  return acc;
 }
 
 void Engine::prune() {
@@ -352,7 +372,7 @@ void Engine::prune() {
 
 std::optional<TimePoint> Engine::value(NodeId n, std::uint64_t k) const {
   const Frame* f = frame_at(k);
-  if (f == nullptr || !f->known[static_cast<std::size_t>(n)] ||
+  if (f == nullptr || f->pending[static_cast<std::size_t>(n)] != kKnown ||
       !f->value[static_cast<std::size_t>(n)].is_finite())
     return std::nullopt;
   return f->value[static_cast<std::size_t>(n)].to_time();
@@ -379,7 +399,7 @@ void Engine::set_retain_margin(std::uint64_t frames) {
 std::optional<mp::Scalar> Engine::scalar_value(NodeId n,
                                                std::uint64_t k) const {
   const Frame* f = frame_at(k);
-  if (f == nullptr || !f->known[static_cast<std::size_t>(n)])
+  if (f == nullptr || f->pending[static_cast<std::size_t>(n)] != kKnown)
     return std::nullopt;
   return f->value[static_cast<std::size_t>(n)];
 }
@@ -427,8 +447,7 @@ void Engine::seed_history(const HistoryWindow& w) {
     f.value.assign(w.values.begin() + static_cast<std::ptrdiff_t>(i * n_nodes_),
                    w.values.begin() +
                        static_cast<std::ptrdiff_t>((i + 1) * n_nodes_));
-    f.known.assign(n_nodes_, 1);
-    f.pending.assign(n_nodes_, 0);
+    f.pending.assign(n_nodes_, kKnown);
     f.attrs.assign(
         w.attrs.begin() + static_cast<std::ptrdiff_t>(i * n_sources_),
         w.attrs.begin() + static_cast<std::ptrdiff_t>((i + 1) * n_sources_));

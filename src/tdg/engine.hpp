@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -36,14 +37,21 @@
 /// resource usage with no simulator involvement.
 ///
 /// Construction *compiles* the frozen graph into a flat, cache-friendly
-/// program (tdg::Program, docs/DESIGN.md §7): CSR adjacency,
-/// struct-of-arrays arc and segment tables with pre-folded fixed weights
-/// and pre-resolved resource rates, guard/load std::functions hoisted into
+/// program (tdg::Program, docs/DESIGN.md §7): CSR adjacency with one record
+/// per arc slot, segment tables with pre-folded fixed weights and
+/// pre-resolved resource rates, guard/load std::functions hoisted into
 /// dense side tables indexed only by the arcs that carry them, and
 /// observation sinks resolved to direct columnar pointers with interned
 /// labels. The propagation hot path never touches the Graph object, a map,
 /// or a string. The same Program type also backs tdg::BatchEngine, which
 /// evaluates one program for N composed instances at once.
+///
+/// Propagation is dependency counting over a LIFO worklist. An instance
+/// that just became known hands the last dependent it made ready straight
+/// to the next compute step instead of pushing and popping it — the entry
+/// the worklist would have popped next — so a chain runs without touching
+/// the worklist at all. A frame's pending column doubles as its known flag:
+/// a known instance holds the kKnown sentinel.
 
 namespace maxev::tdg {
 
@@ -189,18 +197,29 @@ class Engine {
   [[nodiscard]] const Program& program() const { return prog_; }
 
  private:
+  /// Frame::pending of a known instance (computed or fed).
+  static constexpr std::int32_t kKnown =
+      std::numeric_limits<std::int32_t>::min();
+
   struct Frame {
     std::vector<mp::Scalar> value;
-    std::vector<std::uint8_t> known;
     /// Unresolved prerequisites per node: one per in-arc whose source
     /// instance is not yet known, plus one per attr-needing in-arc whose
     /// source attributes are not yet set. A node computes exactly when its
     /// count reaches zero — every arc is processed once per iteration
-    /// (dependency-counting propagation, no readiness re-scans).
+    /// (dependency-counting propagation, no readiness re-scans). kKnown
+    /// once the instance is known; externally fed nodes start at -1 and
+    /// never reach zero.
     std::vector<std::int32_t> pending;
     std::vector<std::uint8_t> attr_known;
     std::vector<model::TokenAttrs> attrs;
     std::size_t known_count = 0;
+  };
+
+  /// A ready instance (node, k); node < 0 = none.
+  struct Ready {
+    NodeId node = -1;
+    std::uint64_t k = 0;
   };
 
   void init_from_program();
@@ -211,15 +230,21 @@ class Engine {
   [[nodiscard]] Frame* frame_at(std::uint64_t k);
   [[nodiscard]] const Frame* frame_at(std::uint64_t k) const;
 
-  /// Compute instance (n, k) — all prerequisites resolved.
+  /// Compute instance (n, k) — all prerequisites resolved — then keep
+  /// computing the last dependent each step makes ready.
   void compute(NodeId n, std::uint64_t k);
+  /// The value of ready instance (n, k) in its frame \p f.
+  [[nodiscard]] mp::Scalar evaluate(const Frame& f, NodeId n, std::uint64_t k);
   void mark_known(Frame& f, NodeId n, std::uint64_t k, mp::Scalar v);
   /// Decrement dependents' pending counts after (n, k) became known; call
-  /// right after mark_known with the same frame. Re-validates \p f itself
+  /// right after mark_known with the same frame. Every dependent made ready
+  /// is pushed onto the worklist except the last, which is returned: it is
+  /// the entry the LIFO worklist would pop next. Re-validates \p f itself
   /// when n carries an on_known callback (which may have pruned iteration k
   /// re-entrantly by raising the retain floor).
-  void resolve_dependents(Frame& f, NodeId n, std::uint64_t k);
-  void decrement(Frame& f, NodeId n, std::uint64_t k);
+  [[nodiscard]] Ready resolve_dependents(Frame& f, NodeId n, std::uint64_t k);
+  /// Resolve one prerequisite of (n, ·) in \p f; true when it became ready.
+  [[nodiscard]] static bool decrement(Frame& f, NodeId n);
   void drain();
   void flush_instants(NodeId n);
   void prune();
@@ -236,19 +261,18 @@ class Engine {
   std::vector<Frame> frame_pool_;  // recycled frames (hot path: no allocs)
   std::uint64_t base_k_ = 0;
 
-  std::vector<std::pair<NodeId, std::uint64_t>> worklist_;
+  std::vector<Ready> worklist_;
   bool draining_ = false;
 
   std::vector<std::function<void(std::uint64_t, TimePoint)>> callbacks_;
   std::vector<std::uint64_t> next_flush_;  // per node, for instant recording
 
   // ---- Compiled program (tdg::Program, shared type with BatchEngine) ------
-  // Struct-of-arrays arc tables, *permuted into CSR slot order*: node n's
-  // in-arcs occupy slots [in_arc_offsets[n], in_arc_offsets[n+1]) of the
-  // in_* arrays, its out-arcs the matching slots of the out_* arrays — the
-  // hot loops stream contiguous columns with no arc-id indirection. Held by
-  // value: member access compiles to fixed offsets from `this`, same as the
-  // pre-extraction flat members.
+  // Arc records *permuted into CSR slot order*: node n's in-arcs occupy
+  // slots [in_arc_offsets[n], in_arc_offsets[n+1]) of in_arcs, its
+  // out-arcs the matching slots of out_arcs — the hot loops stream
+  // contiguous records with no arc-id indirection. Held by value: member
+  // access compiles to fixed offsets from `this`.
   Program prog_;
 
   // ---- Sink bindings (compile()-time resolution of prog_'s observation

@@ -23,13 +23,7 @@ Program Program::compile(const Graph& g) {
   const std::size_t n_arcs = g.arc_count();
 
   p.in_arc_offsets.assign(p.n_nodes + 1, 0);
-  p.in_src.reserve(n_arcs);
-  p.in_lag.reserve(n_arcs);
-  p.in_attr_source.reserve(n_arcs);
-  p.in_guard.reserve(n_arcs);
-  p.in_prog_off.reserve(n_arcs);
-  p.in_prog_len.reserve(n_arcs);
-  p.in_fixed.reserve(n_arcs);
+  p.in_arcs.reserve(n_arcs);
   p.attr_dsts_by_source.assign(p.n_sources, {});
   p.lagged_offsets.assign(p.n_nodes + 1, 0);
   p.static_pending.assign(p.n_nodes, 0);
@@ -41,14 +35,13 @@ Program Program::compile(const Graph& g) {
     std::int32_t stat = 0;
     for (const std::int32_t ai : g.in_arcs(n)) {
       const Arc& a = g.arcs()[static_cast<std::size_t>(ai)];
-      p.in_src.push_back(a.src);
-      p.in_lag.push_back(a.lag);
-      p.in_attr_source.push_back(a.attr_source);
+      InArc& rec = p.in_arcs.emplace_back();
+      rec.src = a.src;
+      rec.lag = a.lag;
+      rec.attr_source = a.attr_source;
       if (a.guard) {
-        p.in_guard.push_back(static_cast<std::int32_t>(p.guards.size()));
+        rec.guard = static_cast<std::int32_t>(p.guards.size());
         p.guards.push_back(a.guard);
-      } else {
-        p.in_guard.push_back(-1);
       }
 
       bool has_exec = false;
@@ -75,19 +68,16 @@ Program Program::compile(const Graph& g) {
         mp::Scalar w = mp::Scalar::e();
         for (const Segment& s : a.segments)
           if (!s.fixed.is_zero()) w = w * mp::Scalar::from_duration(s.fixed);
-        p.in_fixed.push_back(w);
-        p.in_prog_off.push_back(-1);
-        p.in_prog_len.push_back(0);
+        rec.fixed = w;
         continue;
       }
-      p.in_fixed.push_back(mp::Scalar::e());
 
       // Segment program: runs of fixed segments fold into single entries;
       // execute segments carry a hoisted load, the resource's rate constant
       // and the observation metadata (resource id + busy label) that the
       // engines later bind to concrete columnar sinks.
       const auto prog_off = static_cast<std::int32_t>(p.op_exec.size());
-      p.in_prog_off.push_back(prog_off);
+      rec.prog_off = prog_off;
       mp::Scalar pending_fixed = mp::Scalar::e();
       const auto flush_fixed = [&] {
         if (pending_fixed == mp::Scalar::e()) return;
@@ -117,11 +107,10 @@ Program Program::compile(const Graph& g) {
         p.op_label.push_back(s.label);
       }
       flush_fixed();
-      p.in_prog_len.push_back(static_cast<std::int32_t>(p.op_exec.size()) -
-                              prog_off);
+      rec.prog_len = static_cast<std::int32_t>(p.op_exec.size()) - prog_off;
     }
     p.in_arc_offsets[static_cast<std::size_t>(n) + 1] =
-        static_cast<std::int32_t>(p.in_src.size());
+        static_cast<std::int32_t>(p.in_arcs.size());
 
     if (external_fed) {
       p.static_pending[static_cast<std::size_t>(n)] = -1;  // externally fed
@@ -143,16 +132,14 @@ Program Program::compile(const Graph& g) {
   }
 
   p.out_arc_offsets.assign(p.n_nodes + 1, 0);
-  p.out_dst.reserve(n_arcs);
-  p.out_lag.reserve(n_arcs);
+  p.out_arcs.reserve(n_arcs);
   for (NodeId n = 0; n < static_cast<NodeId>(p.n_nodes); ++n) {
     for (const std::int32_t ai : g.out_arcs(n)) {
       const Arc& a = g.arcs()[static_cast<std::size_t>(ai)];
-      p.out_dst.push_back(a.dst);
-      p.out_lag.push_back(a.lag);
+      p.out_arcs.push_back({a.dst, a.lag});
     }
     p.out_arc_offsets[static_cast<std::size_t>(n) + 1] =
-        static_cast<std::int32_t>(p.out_dst.size());
+        static_cast<std::int32_t>(p.out_arcs.size());
   }
 
   p.compile_ops();

@@ -12,12 +12,12 @@
 
 /// \file program.hpp
 /// The compiled, instance-agnostic form of a frozen temporal dependency
-/// graph (docs/DESIGN.md §7): flat CSR adjacency, struct-of-arrays arc and
-/// segment tables with pre-folded fixed weights and pre-resolved resource
-/// rates, and hoisted guard/load side tables. A Program holds everything
-/// about the graph's *structure* and *weights*; everything about a
-/// particular execution — frames, pending counts, observation sinks —
-/// lives in the engine that runs it.
+/// graph (docs/DESIGN.md §7): flat CSR adjacency with one record per arc
+/// slot, struct-of-arrays segment tables with pre-folded fixed weights and
+/// pre-resolved resource rates, and hoisted guard/load side tables. A
+/// Program holds everything about the graph's *structure* and *weights*;
+/// everything about a particular execution — frames, pending counts,
+/// observation sinks — lives in the engine that runs it.
 ///
 /// One Program serves two executors:
 ///  * tdg::Engine evaluates it for a single model instance;
@@ -28,8 +28,9 @@ namespace maxev::tdg {
 
 /// Compiled program tables. Plain data; cheap to move, never mutated after
 /// compile(). All `*_offsets_` arrays are CSR offsets with node_count + 1
-/// entries; the in_*/out_* columns are permuted into CSR slot order so the
-/// engines' propagation loops stream contiguous memory.
+/// entries; the in_arcs/out_arcs records are permuted into CSR slot order so
+/// the engines' propagation loops stream contiguous memory, one record per
+/// arc slot.
 struct Program {
   /// Compile a frozen graph. Walking nodes in id order and each node's
   /// arcs in insertion order keeps every table (including the hoisted
@@ -37,24 +38,32 @@ struct Program {
   /// \pre g.frozen()
   [[nodiscard]] static Program compile(const Graph& g);
 
+  /// Everything compute() reads about one in-arc slot.
+  struct InArc {
+    mp::Scalar fixed = mp::Scalar::e();  ///< pure-fixed arcs: pre-folded weight
+    NodeId src = 0;
+    std::uint32_t lag = 0;
+    std::int32_t guard = -1;     ///< index into guards; -1 = none
+    std::int32_t prog_off = -1;  ///< index into op tables; -1 = pure fixed
+    std::int32_t prog_len = 0;
+    model::SourceId attr_source = 0;
+  };
+
+  /// Everything dependent resolution reads about one out-arc slot.
+  struct OutArc {
+    NodeId dst = 0;
+    std::uint32_t lag = 0;
+  };
+
   std::size_t n_nodes = 0;
   /// Distinct token-attribute sources referenced by the graph (>= 1).
   std::size_t n_sources = 1;
 
-  // ---- In-arc program, in CSR slot order ----------------------------------
+  // ---- Arc records, in CSR slot order -------------------------------------
   std::vector<std::int32_t> in_arc_offsets;  ///< n_nodes + 1
-  std::vector<NodeId> in_src;
-  std::vector<std::uint32_t> in_lag;
-  std::vector<model::SourceId> in_attr_source;
-  std::vector<std::int32_t> in_guard;     ///< index into guards; -1 = none
-  std::vector<std::int32_t> in_prog_off;  ///< index into op tables; -1 = pure fixed
-  std::vector<std::int32_t> in_prog_len;
-  std::vector<mp::Scalar> in_fixed;       ///< pure-fixed arcs: pre-folded weight
-
-  // ---- Out-arc table, in CSR slot order -----------------------------------
+  std::vector<InArc> in_arcs;
   std::vector<std::int32_t> out_arc_offsets;  ///< n_nodes + 1
-  std::vector<NodeId> out_dst;
-  std::vector<std::uint32_t> out_lag;
+  std::vector<OutArc> out_arcs;
 
   // ---- Frame-initialization bookkeeping -----------------------------------
   // Per-node CSR over the *lagged* (lag >= 1) in-arcs only — the part of

@@ -764,6 +764,34 @@ TEST(BatchEngineTest, UniformFrontOverflowPublishesNoLane) {
   EXPECT_EQ(eng.instances_computed(), 0u);
 }
 
+/// A guard that throws unwinds out of flush(); later feeds must still
+/// propagate on the next flush.
+TEST(BatchEngineTest, DrainRecoversAfterThrowingGuard) {
+  tdg::GraphBuilder b;
+  b.input("u").instant("a");
+  b.arc("u", "a").fixed(Duration::ns(1));
+  b.arc("u", "a").fixed(Duration::ns(5)).when(
+      [](const model::TokenAttrs&, std::uint64_t k) {
+        if (k == 0) throw Error("guard failure at k = 0");
+        return true;
+      });
+  tdg::Graph g = b.take();
+  g.freeze();
+  tdg::BatchEngine::Options opts;
+  opts.instances.resize(1);
+  tdg::BatchEngine eng(g, opts);
+  const tdg::NodeId u = g.find("u"), a = g.find("a");
+  eng.set_attrs(0, 0, 0, {});
+  eng.set_external(0, u, 0, TimePoint::at_ps(0));
+  EXPECT_THROW((void)eng.flush(), Error);
+  EXPECT_EQ(eng.value(0, a, 0), std::nullopt);
+  eng.set_attrs(0, 0, 1, {});
+  eng.set_external(0, u, 1, TimePoint::at_ps(100));
+  EXPECT_TRUE(eng.flush());
+  EXPECT_EQ(eng.value(0, a, 1), TimePoint::at_ps(5100));
+  EXPECT_EQ(eng.instances_computed(), 1u);
+}
+
 TEST(BatchEngineTest, MergedDescriptionMismatchRejected) {
   const auto base = model::share(gen::make_didactic({}));
   gen::DidacticConfig other_cfg;

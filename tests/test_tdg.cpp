@@ -293,6 +293,163 @@ TEST(EngineTest, OnKnownCallbackFires) {
   EXPECT_EQ(seen[0].second, 5000);
 }
 
+/// Diamond a → {b, c} → d with a lag-1 feedback d → c, a guarded arc c → d
+/// (taken when size > 5) and a tail e. The (node, k) order in which
+/// on_known fires is the engine's evaluation order, pinned as observed.
+TEST(EngineTest, CallbackOrderUnchanged) {
+  GraphBuilder b;
+  b.input("u").instant("a").instant("b").instant("c").instant("d");
+  b.output("e");
+  b.arc("u", "a").fixed(1_ns);
+  b.arc("a", "b").fixed(2_ns);
+  b.arc("a", "c").fixed(3_ns);
+  b.arc("b", "d").fixed(1_ns);
+  b.arc("c", "d");
+  b.arc("c", "d").fixed(10_ns).when(
+      [](const model::TokenAttrs& at, std::uint64_t) { return at.size > 5; });
+  b.arc("d", "c").lag(1).fixed(1_ns);
+  b.arc("d", "e").fixed(1_ns);
+  Graph g = b.take();
+  g.freeze();
+  Engine e(g);
+  std::vector<std::pair<NodeId, std::uint64_t>> seen;
+  // b carries no callback, so the chain through it runs without one.
+  for (const char* name : {"a", "c", "d", "e"}) {
+    const NodeId n = g.find(name);
+    e.on_known(n, [&, n](std::uint64_t k, TimePoint) {
+      seen.emplace_back(n, k);
+      // A nested feed from inside the drain only enqueues.
+      if (n == g.find("e") && k == 1) e.set_external(g.find("u"), 4, at(40));
+    });
+  }
+  model::TokenAttrs small;
+  small.size = 1;
+  model::TokenAttrs big;
+  big.size = 100;
+  for (std::uint64_t k = 0; k < 3; ++k)
+    e.set_external(g.find("u"), k, at(static_cast<std::int64_t>(k) * 10));
+  e.set_attrs(0, 2, big);
+  e.set_attrs(0, 0, small);
+  e.set_attrs(0, 1, big);
+  e.set_attrs(0, 4, small);
+  e.set_attrs(0, 3, small);
+  e.set_external(g.find("u"), 3, at(30));
+
+  const NodeId a = g.find("a"), c = g.find("c"), d = g.find("d"),
+               t = g.find("e");
+  const std::vector<std::pair<NodeId, std::uint64_t>> expected = {
+      {a, 0}, {c, 0}, {a, 1}, {a, 2}, {d, 0}, {t, 0}, {c, 1},
+      {d, 1}, {t, 1}, {a, 4}, {c, 2}, {d, 2}, {t, 2}, {a, 3},
+      {c, 3}, {d, 3}, {t, 3}, {c, 4}, {d, 4}, {t, 4}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(e.instances_computed(), 25u);
+}
+
+/// A callback on a mid-chain node raises the retain floor, so prune() runs
+/// re-entrantly while the chain is being evaluated; the chain continues
+/// across the lag-1 arc b → c into the next frame. Every value must match
+/// a run that never prunes.
+TEST(EngineTest, RetainFloorRaisedInCallbackMidChain) {
+  GraphBuilder b;
+  b.input("u");
+  b.instant("a").instant("b");
+  b.instant("c", "chanC").instant("d", "chanD").instant("x", "chanX");
+  b.arc("u", "a").fixed(1_ns).when(
+      [](const model::TokenAttrs&, std::uint64_t) { return true; });
+  b.arc("a", "b").fixed(2_ns);
+  b.arc("b", "c").lag(1).fixed(3_ns);
+  b.arc("b", "x").fixed(5_ns);
+  b.arc("c", "d").fixed(4_ns);
+  Graph g = b.take();
+  g.freeze();
+  constexpr std::uint64_t kIters = 20;
+
+  const auto run = [&](Engine& e) {
+    for (std::uint64_t k = 0; k < kIters; ++k)
+      e.set_external(g.find("u"), k, at(static_cast<std::int64_t>(k) * 7000));
+    for (std::uint64_t k = 0; k < kIters; ++k) e.set_attrs(0, k, {});
+  };
+
+  Engine ref(g);
+  run(ref);
+
+  trace::InstantTraceSet instants;
+  Engine e(g, Engine::Options{&instants, nullptr});
+  std::vector<TimePoint> b_values;
+  e.on_known(g.find("b"), [&](std::uint64_t k, TimePoint t) {
+    b_values.push_back(t);
+    e.set_retain_floor(k + 1);
+  });
+  run(e);
+
+  EXPECT_FALSE(e.value(g.find("a"), 0).has_value());  // pruned mid-run
+  EXPECT_EQ(e.instances_computed(), ref.instances_computed());
+  EXPECT_EQ(e.arc_terms_evaluated(), ref.arc_terms_evaluated());
+  ASSERT_EQ(b_values.size(), kIters);
+  for (std::uint64_t k = 0; k < kIters; ++k)
+    EXPECT_EQ(b_values[k], ref.value(g.find("b"), k)) << "k=" << k;
+  for (const auto& [name, series] :
+       {std::pair{"c", "chanC"}, {"d", "chanD"}, {"x", "chanX"}}) {
+    const trace::InstantSeries* s = instants.find(series);
+    ASSERT_NE(s, nullptr) << name;
+    ASSERT_EQ(s->size(), kIters) << name;
+    for (std::uint64_t k = 0; k < kIters; ++k)
+      EXPECT_EQ(s->values()[k], ref.value(g.find(name), k))
+          << name << " k=" << k;
+  }
+}
+
+/// The last dependent a(k) makes ready is c(k + 1), reached through a lag-1
+/// out-arc: evaluation continues in the next frame, not in a's.
+TEST(EngineTest, LaggedDependentHeldAcrossFrames) {
+  GraphBuilder b;
+  b.input("u").instant("a").instant("b").instant("c");
+  b.arc("u", "a").fixed(1_ns);
+  b.arc("a", "b").fixed(2_ns);
+  b.arc("a", "c").lag(1).fixed(5_ns);
+  b.arc("u", "c");
+  Graph g = b.take();
+  g.freeze();
+  Engine e(g);
+  const NodeId u = g.find("u"), a = g.find("a"), bb = g.find("b"),
+               c = g.find("c");
+  e.set_external(u, 1, at(100));
+  EXPECT_EQ(e.value(a, 1), at(1100));
+  EXPECT_FALSE(e.value(c, 1).has_value());  // waits for a(0)
+  e.set_external(u, 0, at(0));
+  EXPECT_EQ(e.value(a, 0), at(1000));
+  EXPECT_EQ(e.value(bb, 0), at(3000));
+  EXPECT_EQ(e.value(c, 0), at(5000));  // max(u(0), origin + 5ns)
+  EXPECT_EQ(e.value(c, 1), at(6000));  // max(u(1), a(0) + 5ns)
+  EXPECT_EQ(e.value(bb, 1), at(3100));
+  EXPECT_EQ(e.instances_computed(), 6u);
+  EXPECT_EQ(e.completed_iterations(), 2u);
+}
+
+/// A guard that throws unwinds out of the drain; later feeds must still
+/// propagate.
+TEST(EngineTest, DrainRecoversAfterThrowingGuard) {
+  GraphBuilder b;
+  b.input("u").instant("a");
+  b.arc("u", "a").fixed(1_ns);
+  b.arc("u", "a").fixed(5_ns).when(
+      [](const model::TokenAttrs&, std::uint64_t k) {
+        if (k == 0) throw Error("guard failure at k = 0");
+        return true;
+      });
+  Graph g = b.take();
+  g.freeze();
+  Engine e(g);
+  const NodeId u = g.find("u"), a = g.find("a");
+  e.set_attrs(0, 0, {});
+  EXPECT_THROW(e.set_external(u, 0, at(0)), Error);
+  EXPECT_FALSE(e.value(a, 0).has_value());
+  e.set_attrs(0, 1, {});
+  e.set_external(u, 1, at(100));
+  EXPECT_EQ(e.value(a, 1), at(5100));
+  EXPECT_EQ(e.instances_computed(), 1u);
+}
+
 TEST(EngineTest, UnfrozenGraphRejected) {
   Graph g;
   EXPECT_THROW(Engine e(g), DescriptionError);
