@@ -12,6 +12,9 @@ Drives the serving binary through its line-delimited JSON protocol:
   3. The protocol run submits the scenario, feeds the tokens across
      several feed/poll rounds, checkpoints mid-stream, restores the
      checkpoint into a fresh session, and finishes feeding there.
+  4. A hostile line, HOSTILE_DEPTH unclosed '[', must come back as an
+     in-band `ok: false` error, and the same process must still answer
+     `stats`.
 
 The accumulated poll deltas (original session up to the checkpoint, the
 restored session after it) must reassemble, instant for instant and busy
@@ -28,6 +31,7 @@ import sys
 import tempfile
 
 ROUNDS = 4  # feed/poll rounds; the checkpoint happens after round 2
+HOSTILE_DEPTH = 200_000  # far past the parser's nesting bound
 
 
 def fail(msg):
@@ -43,13 +47,17 @@ class Server:
             [binary], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
         )
 
-    def request(self, obj, expect_ok=True):
-        self.proc.stdin.write(json.dumps(obj) + "\n")
+    def send_line(self, text, what):
+        """Send one protocol line; return the parsed reply."""
+        self.proc.stdin.write(text + "\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
-            fail(f"server died on request {obj.get('cmd')}")
-        reply = json.loads(line)
+            fail(f"server died on request {what}")
+        return json.loads(line)
+
+    def request(self, obj, expect_ok=True):
+        reply = self.send_line(json.dumps(obj), obj.get("cmd"))
         if expect_ok and not reply.get("ok"):
             fail(f"request {obj.get('cmd')} failed: {reply.get('error')}")
         return reply
@@ -163,6 +171,9 @@ def main():
     polls += 1
     if not delta["completed"]:
         fail(f"scenario did not complete (stop={delta['stop']})")
+    hostile = server.send_line("[" * HOSTILE_DEPTH, "hostile nesting")
+    if hostile.get("ok") is not False:
+        fail(f"a {HOSTILE_DEPTH}-deep line was not rejected in band")
     stats = server.request({"cmd": "stats"})
     server.request({"cmd": "close", "session": "smoke"})
     server.close()
@@ -192,8 +203,8 @@ def main():
     print(
         f"serve_smoke: OK — {n_instants} instants over "
         f"{len(state['instants'])} series, {polls} polls, "
-        f"1 checkpoint/restore, bit-identical to one-shot "
-        f"(cache: {stats['cache']})"
+        f"1 checkpoint/restore, bit-identical to one-shot, hostile "
+        f"nesting rejected in band (cache: {stats['cache']})"
     )
 
 

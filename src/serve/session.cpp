@@ -168,6 +168,11 @@ void Session::collect_deltas(Delta& d) {
     UsageDelta ud;
     ud.resource = name;
     ud.start_index = cursor;
+    const std::size_t n = trace.size() - cursor;
+    ud.starts_ps.reserve(n);
+    ud.ends_ps.reserve(n);
+    ud.ops.reserve(n);
+    ud.labels.reserve(n);
     for (std::size_t i = cursor; i < trace.size(); ++i) {
       ud.starts_ps.push_back(trace.starts()[i].count());
       ud.ends_ps.push_back(trace.ends()[i].count());

@@ -1,44 +1,14 @@
 #include "util/json.hpp"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <system_error>
 
 #include "util/error.hpp"
 
 namespace maxev {
-
-namespace {
-
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 void JsonWriter::comma() {
   if (pending_key_) {
@@ -51,6 +21,31 @@ void JsonWriter::comma() {
   } else {
     out_ += ',';
   }
+}
+
+void JsonWriter::append_escaped(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_ += '"';
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out_.append(esc, sizeof esc);
+      }
+    }
+  }
+  out_.append(s.data() + run, s.size() - run);
+  out_ += '"';
 }
 
 JsonWriter& JsonWriter::begin_object() {
@@ -81,28 +76,32 @@ JsonWriter& JsonWriter::end_array() {
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   comma();
-  out_ += escaped(k);
+  append_escaped(k);
   out_ += ':';
   pending_key_ = true;  // the next value/container follows without a comma
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   comma();
-  out_ += escaped(v);
+  append_escaped(v);
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
+JsonWriter& JsonWriter::value(const char* v) {
+  return value(std::string_view(v));
+}
 
 JsonWriter& JsonWriter::value(double v) {
   comma();
   if (std::isfinite(v)) {
+    // Precision 17 in general format is printf's %.17g by definition.
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out_ += buf;
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17);
+    out_.append(buf, r.ptr);
   } else {
     out_ += "null";  // JSON has no NaN/Inf
   }
@@ -111,13 +110,15 @@ JsonWriter& JsonWriter::value(double v) {
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   comma();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   return *this;
 }
 
@@ -181,32 +182,32 @@ std::uint64_t JsonValue::as_uint64() const {
 
 const std::string& JsonValue::as_string() const {
   if (!is_string()) kind_error("string", kind_);
-  return str_;
+  return std::get<std::string>(data_);
 }
 
 std::size_t JsonValue::size() const {
-  if (is_array()) return items_.size();
-  if (is_object()) return members_.size();
+  if (is_array()) return std::get<Array>(data_).size();
+  if (is_object()) return std::get<Object>(data_).size();
   return 0;
 }
 
 const JsonValue& JsonValue::operator[](std::size_t i) const {
-  if (!is_array()) kind_error("array", kind_);
-  if (i >= items_.size())
+  const Array& items = this->items();
+  if (i >= items.size())
     throw Error("JsonValue: array index " + std::to_string(i) +
-                " out of range (size " + std::to_string(items_.size()) + ")");
-  return items_[i];
+                " out of range (size " + std::to_string(items.size()) + ")");
+  return items[i];
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
   if (!is_array()) kind_error("array", kind_);
-  return items_;
+  return std::get<Array>(data_);
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
-  if (!is_object()) kind_error("object", kind_);
-  const auto it = members_.find(key);
-  return it == members_.end() ? nullptr : &it->second;
+  const Object& members = this->members();
+  const auto it = members.find(key);
+  return it == members.end() ? nullptr : &it->second;
 }
 
 const JsonValue& JsonValue::at(const std::string& key) const {
@@ -217,7 +218,7 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 const std::map<std::string, JsonValue>& JsonValue::members() const {
   if (!is_object()) kind_error("object", kind_);
-  return members_;
+  return std::get<Object>(data_);
 }
 
 JsonValue JsonValue::null() { return {}; }
@@ -247,21 +248,21 @@ JsonValue JsonValue::integer(std::int64_t i) {
 JsonValue JsonValue::string(std::string s) {
   JsonValue v;
   v.kind_ = Kind::kString;
-  v.str_ = std::move(s);
+  v.data_.emplace<std::string>(std::move(s));
   return v;
 }
 
 JsonValue JsonValue::array(std::vector<JsonValue> items) {
   JsonValue v;
   v.kind_ = Kind::kArray;
-  v.items_ = std::move(items);
+  v.data_.emplace<Array>(std::move(items));
   return v;
 }
 
 JsonValue JsonValue::object(std::map<std::string, JsonValue> members) {
   JsonValue v;
   v.kind_ = Kind::kObject;
-  v.members_ = std::move(members);
+  v.data_.emplace<Object>(std::move(members));
   return v;
 }
 
@@ -309,11 +310,24 @@ class Parser {
     return true;
   }
 
+  bool digit_at(std::size_t i) const {
+    return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+  }
+
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bounded recursion: a hostile line of brackets must fail in band,
+        // not overflow the stack.
+        if (depth_ == kJsonMaxDepth)
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+        ++depth_;
+        JsonValue v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("invalid literal");
@@ -375,15 +389,18 @@ class Parser {
     ++pos_;
     std::string out;
     for (;;) {
+      // Copy each run of plain bytes with one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -395,13 +412,13 @@ class Parser {
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': out += parse_unicode_escape(); break;
+        case 'u': append_unicode_escape(out); break;
         default: fail("invalid escape character");
       }
     }
   }
 
-  std::string parse_unicode_escape() {
+  void append_unicode_escape(std::string& out) {
     // The writer only emits \u00xx for control characters; decode the BMP
     // generally (UTF-8) and reject surrogates, which we never produce.
     if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
@@ -415,7 +432,6 @@ class Parser {
       else fail("invalid \\u escape digit");
     }
     if (cp >= 0xD800 && cp <= 0xDFFF) fail("surrogate \\u escape unsupported");
-    std::string out;
     if (cp < 0x80) {
       out += static_cast<char>(cp);
     } else if (cp < 0x800) {
@@ -426,58 +442,50 @@ class Parser {
       out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
       out += static_cast<char>(0x80 | (cp & 0x3F));
     }
-    return out;
   }
 
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      fail("invalid number");
+    if (!digit_at(pos_)) fail("invalid number");
     bool integral = true;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    while (digit_at(pos_)) ++pos_;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       integral = false;
       ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("invalid number: digit required after '.'");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!digit_at(pos_)) fail("invalid number: digit required after '.'");
+      while (digit_at(pos_)) ++pos_;
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       integral = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("invalid number: digit required in exponent");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!digit_at(pos_)) fail("invalid number: digit required in exponent");
+      while (digit_at(pos_)) ++pos_;
     }
-    const std::string lit(text_.substr(start, pos_ - start));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(lit.c_str(), &end, 10);
-      if (errno == 0 && end == lit.c_str() + lit.size())
-        return JsonValue::integer(static_cast<std::int64_t>(v));
+      std::int64_t i = 0;
+      const auto r = std::from_chars(first, last, i);
+      if (r.ec == std::errc() && r.ptr == last) return JsonValue::integer(i);
       // Falls through for out-of-range integers: keep them as doubles.
     }
-    errno = 0;
-    char* end = nullptr;
-    const double d = std::strtod(lit.c_str(), &end);
-    if (end != lit.c_str() + lit.size()) fail("invalid number literal");
+    double d = 0.0;
+    const auto r = std::from_chars(first, last, d);
+    if (r.ec == std::errc::result_out_of_range)
+      // Overflow or underflow: read the literal as strtod does (±HUGE_VAL,
+      // zero or the nearest subnormal).
+      d = std::strtod(std::string(first, last).c_str(), nullptr);
+    else if (r.ec != std::errc() || r.ptr != last)
+      fail("invalid number literal");
     return JsonValue::number(d);
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects currently open
 };
 
 }  // namespace

@@ -1,21 +1,40 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 /// \file json.hpp
 /// A minimal streaming JSON writer for machine-readable output (study
 /// reports, serve responses, the benchmark's results), plus a small
 /// recursive-descent parser (`json_parse`) producing a `JsonValue` tree for
-/// the serve wire format (serve/wire.hpp). Handles nesting, comma placement
-/// and string escaping; numbers are emitted with enough precision to
-/// round-trip doubles, and integers that fit std::int64_t exactly survive
-/// a parse round-trip without floating-point loss.
+/// the serve wire format (serve/wire.hpp). Both sit on the serve hot path,
+/// so neither allocates per number or per escaped string.
+///
+/// Guarantees:
+/// - Doubles are written as printf `%.17g` would write them (via
+///   `std::to_chars(..., chars_format::general, 17)`, which the standard
+///   defines that way), so they round-trip bit for bit; NaN and Inf are
+///   written as `null`. Parsed doubles equal what `strtod` returns.
+/// - An integral literal that fits std::int64_t parses exactly (is_int64());
+///   a larger one becomes a double.
+/// - `json_parse` rejects documents nested deeper than
+///   `kJsonMaxDepth` arrays/objects instead of recursing without bound.
+///
+/// Node layout: a `JsonValue` keeps its kind, a union of the scalars
+/// (bool, double, int64) and one `std::variant` holding the string, array
+/// or object payload, so a number or bool carries no container state.
 
 namespace maxev {
+
+/// Deepest array/object nesting `json_parse` accepts. Wire, checkpoint and
+/// Report documents stay below ten levels.
+inline constexpr std::size_t kJsonMaxDepth = 512;
 
 class JsonWriter {
  public:
@@ -25,9 +44,10 @@ class JsonWriter {
   JsonWriter& end_array();
 
   /// Object member key; must be followed by a value or container.
-  JsonWriter& key(const std::string& k);
+  JsonWriter& key(std::string_view k);
 
-  JsonWriter& value(const std::string& v);
+  JsonWriter& value(std::string_view v);
+  /// Keeps string literals from binding to value(bool).
   JsonWriter& value(const char* v);
   JsonWriter& value(double v);
   JsonWriter& value(std::int64_t v);
@@ -38,7 +58,7 @@ class JsonWriter {
 
   /// key() + value() in one call.
   template <typename T>
-  JsonWriter& field(const std::string& k, T&& v) {
+  JsonWriter& field(std::string_view k, T&& v) {
     key(k);
     return value(std::forward<T>(v));
   }
@@ -51,9 +71,10 @@ class JsonWriter {
 
  private:
   void comma();
+  void append_escaped(std::string_view s);
 
   std::string out_;
-  std::vector<bool> first_;  // per open container: no member emitted yet
+  std::vector<char> first_;  // per open container: no member emitted yet
   bool pending_key_ = false;  // a "key": was just emitted
 };
 
@@ -104,18 +125,22 @@ class JsonValue {
   static JsonValue object(std::map<std::string, JsonValue> members);
 
  private:
+  using Array = std::vector<JsonValue>;
+  using Object = std::map<std::string, JsonValue>;
+
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  bool exact_int_ = false;
-  double num_ = 0.0;
-  std::int64_t int_ = 0;
-  std::string str_;
-  std::vector<JsonValue> items_;
-  std::map<std::string, JsonValue> members_;
+  bool exact_int_ = false;  // kNumber: int_ is active, else num_
+  union {
+    bool bool_;
+    double num_;
+    std::int64_t int_ = 0;
+  };
+  std::variant<std::monostate, std::string, Array, Object> data_;
 };
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
-/// Throws maxev::Error with a byte offset on malformed input.
+/// Throws maxev::Error with a byte offset on malformed input, and on arrays
+/// or objects nested deeper than kJsonMaxDepth.
 [[nodiscard]] JsonValue json_parse(std::string_view text);
 
 /// Serialize a JsonValue tree back to compact JSON text. Object members are

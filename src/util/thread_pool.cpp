@@ -129,8 +129,14 @@ void ThreadPool::parallel_for(std::size_t n,
     });
   }
 
+  // Move the exception out before rethrowing: a late helper may drop the
+  // last reference to the batch on a worker thread, and the exception must
+  // not die there while the caller's handler still reads it.
   for (std::size_t i = 0; i < n; ++i)
-    if (batch->errors[i]) std::rethrow_exception(batch->errors[i]);
+    if (batch->errors[i]) {
+      const std::exception_ptr error = std::move(batch->errors[i]);
+      std::rethrow_exception(error);
+    }
 }
 
 std::size_t ThreadPool::resolve(int threads) {

@@ -481,6 +481,18 @@ TEST(ProtocolTest, ErrorsAreReportedInBandNeverThrown) {
   EXPECT_EQ(server.session_count(), 0u);
 }
 
+TEST(ProtocolTest, DeeplyNestedLineFailsInBandAndServingContinues) {
+  serve::Server server;
+  const JsonValue reply =
+      json_parse(server.handle(std::string(std::size_t{1} << 20, '[')));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").as_string().find("nesting deeper than"),
+            std::string::npos);
+  const JsonValue stats = json_parse(server.handle(R"({"cmd":"stats"})"));
+  EXPECT_TRUE(stats.at("ok").as_bool());
+  EXPECT_EQ(stats.at("sessions").as_uint64(), 0u);
+}
+
 // ------------------------------------------------- study integration ----
 
 TEST(StudyCacheTest, RepetitionsHitTheSharedCache) {

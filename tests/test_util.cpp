@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -205,6 +215,225 @@ TEST(CsvTest, WritesEscapedCells) {
 
 TEST(CsvTest, ThrowsOnBadPath) {
   EXPECT_THROW(CsvWriter("/nonexistent_dir_xyz/file.csv"), Error);
+}
+
+// ---------------------------------------------------------------- JSON ----
+
+std::string written(double v) {
+  JsonWriter w;
+  w.value(v);
+  return w.str();
+}
+
+std::string printf_17g(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+double from_bits(std::uint64_t b) {
+  double d = 0.0;
+  std::memcpy(&d, &b, sizeof d);
+  return d;
+}
+
+TEST(JsonTest, WrittenDoublesMatchPrintf17g) {
+  const double special[] = {0.0,
+                            -0.0,
+                            3.0,
+                            -3.0,
+                            1e17,
+                            0.1,
+                            1.0 / 3.0,
+                            DBL_MAX,
+                            -DBL_MAX,
+                            DBL_MIN,
+                            DBL_TRUE_MIN,
+                            from_bits(0x000fffffffffffffull),  // largest subnormal
+                            9007199254740993.0,
+                            123456789012345678.0};
+  for (const double v : special) EXPECT_EQ(written(v), printf_17g(v)) << v;
+  EXPECT_EQ(written(3.0), "3");
+  EXPECT_EQ(written(-0.0), "-0");
+  EXPECT_EQ(written(std::nan("")), "null");
+  EXPECT_EQ(written(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(written(-std::numeric_limits<double>::infinity()), "null");
+
+  // A seeded sweep over raw bit patterns: every exponent, both signs,
+  // subnormals included.
+  Rng rng(2024);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < (1 << 20); ++i) {
+    const double v = from_bits(rng.next_u64());
+    const std::string got = written(v);
+    const std::string want = std::isfinite(v) ? printf_17g(v) : "null";
+    if (got != want && ++mismatches <= 5)
+      ADD_FAILURE() << "got " << got << ", want " << want;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonTest, ParsedDoublesMatchStrtod) {
+  Rng rng(7);
+  std::size_t mismatches = 0;
+  auto check = [&](const std::string& text) {
+    const std::uint64_t got = bits_of(json_parse(text).as_double());
+    const std::uint64_t want = bits_of(std::strtod(text.c_str(), nullptr));
+    if (got != want && ++mismatches <= 5)
+      ADD_FAILURE() << text << ": got bits " << got << ", want " << want;
+  };
+  // Round-trip literals of random finite doubles. "-0" is left out: an
+  // integral literal parses as the integer 0.
+  for (int i = 0; i < (1 << 18); ++i) {
+    const double v = from_bits(rng.next_u64());
+    if (std::isfinite(v) && v != 0.0) check(printf_17g(v));
+  }
+  // Random decimal literals with up to 30 digits: rounding cases the
+  // shortest round-trip form never produces, plus exponents past both ends
+  // of the range (strtod's overflow and underflow values).
+  for (int i = 0; i < (1 << 18); ++i) {
+    std::string lit = rng.chance(0.5) ? "-" : "";
+    lit += static_cast<char>('1' + rng.next_below(9));
+    const int digits = rng.uniform_int(0, 29);
+    if (digits > 0) lit += '.';
+    for (int d = 0; d < digits; ++d)
+      lit += static_cast<char>('0' + rng.next_below(10));
+    lit += 'e' + std::to_string(rng.uniform_int(-345, 330));
+    check(lit);
+  }
+  for (const char* lit : {"1e400", "-1e400", "1e-400", "2.4703282292062328e-324",
+                          "2.4703282292062327e-324", "4.9406564584124654e-324",
+                          "1.7976931348623157e308", "1.7976931348623159e308",
+                          "0.1", "1E2", "1e+2", "-0.0", "0.000"})
+    check(lit);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonTest, Int64LiteralsStayExact) {
+  const JsonValue lo = json_parse("-9223372036854775808");
+  const JsonValue hi = json_parse("9223372036854775807");
+  ASSERT_TRUE(lo.is_int64());
+  ASSERT_TRUE(hi.is_int64());
+  EXPECT_EQ(lo.as_int64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(hi.as_int64(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(json_dump(lo), "-9223372036854775808");
+  EXPECT_EQ(json_dump(hi), "9223372036854775807");
+
+  for (const char* lit : {"9223372036854775808", "-9223372036854775809",
+                          "100000000000000000000000"}) {
+    const JsonValue v = json_parse(lit);
+    EXPECT_TRUE(v.is_number()) << lit;
+    EXPECT_FALSE(v.is_int64()) << lit;
+    EXPECT_EQ(v.as_double(), std::strtod(lit, nullptr)) << lit;
+  }
+  EXPECT_TRUE(json_parse("-0").is_int64());
+
+  JsonWriter w;
+  w.begin_array()
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::int64_t{0})
+      .end_array();
+  EXPECT_EQ(w.str(), "[-9223372036854775808,18446744073709551615,0]");
+}
+
+TEST(JsonTest, StringsRoundTripEveryEscape) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all += static_cast<char>(c);
+  all += "\"\\/ plain \x7f\xc3\xa9";
+  // Runs longer than the small-string buffer on either side of escapes.
+  const std::string run(40, 'x');
+  const std::vector<std::string> cases = {"", "plain", all, run + all + run,
+                                          run + "\"" + run, run + "\n"};
+  for (const std::string& s : cases) {
+    JsonWriter w;
+    w.begin_object().field(s, s).end_object();
+    const JsonValue v = json_parse(w.str());
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_EQ(v.members().begin()->first, s);
+    EXPECT_EQ(v.at(s).as_string(), s);
+  }
+
+  // Exact bytes: \n, \r, \t have short forms; other controls are \u00xx.
+  JsonWriter w;
+  w.value(std::string("a\x01\b\f\n\r\t\x1f\"\\z"));
+  EXPECT_EQ(w.str(), R"("a\u0001\u0008\u000c\n\r\t\u001f\"\\z")");
+
+  EXPECT_EQ(json_parse(R"("Aé€\/\b\f")").as_string(),
+            "A\xc3\xa9\xe2\x82\xac/\b\f");
+  EXPECT_EQ(json_parse("\"" + run + R"(\u001F)" + run + "\"").as_string(),
+            run + "\x1f" + run);
+}
+
+TEST(JsonTest, MalformedInputsNameTheOffset) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "unexpected end of input at offset 0"},
+      {"  ", "unexpected end of input at offset 2"},
+      {"[1,]", "invalid number at offset 3"},
+      {"[1 2]", "expected ',' or ']' at offset 3"},
+      {R"({"a" 1})", "expected ':' at offset 5"},
+      {R"({"a":1 "b":2})", "expected ',' or '}' at offset 7"},
+      {R"({"a":1,"a":2})", "duplicate object key at offset 12"},
+      {"{1:2}", "expected string at offset 1"},
+      {R"("abc)", "unterminated string at offset 4"},
+      {"\"a\x01\"", "unescaped control character in string at offset 3"},
+      {R"("\)", "unterminated escape at offset 2"},
+      {R"("\x")", "invalid escape character at offset 3"},
+      {R"("\u12")", "truncated \\u escape at offset 3"},
+      {R"("\u12g4")", "invalid \\u escape digit at offset 6"},
+      {R"("\ud800")", "surrogate \\u escape unsupported at offset 7"},
+      {"tru", "invalid literal at offset 0"},
+      {"nul", "invalid literal at offset 0"},
+      {"falsey", "trailing characters after document at offset 5"},
+      {"1 2", "trailing characters after document at offset 2"},
+      {"-", "invalid number at offset 1"},
+      {"+1", "invalid number at offset 0"},
+      {".5", "invalid number at offset 0"},
+      {"1.", "invalid number: digit required after '.' at offset 2"},
+      {"1.e5", "invalid number: digit required after '.' at offset 2"},
+      {"1e", "invalid number: digit required in exponent at offset 2"},
+      {"1e+", "invalid number: digit required in exponent at offset 3"},
+  };
+  for (const auto& [text, what] : cases) {
+    try {
+      (void)json_parse(text);
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("json_parse: ") + what)
+          << text;
+    }
+  }
+}
+
+TEST(JsonTest, RejectsDeepNesting) {
+  // At the bound a document parses and dumps back unchanged.
+  const std::string at_bound =
+      std::string(kJsonMaxDepth, '[') + std::string(kJsonMaxDepth, ']');
+  EXPECT_EQ(json_dump(json_parse(at_bound)), at_bound);
+
+  const std::string want = "json_parse: nesting deeper than " +
+                           std::to_string(kJsonMaxDepth) + " at offset ";
+  std::string objects;
+  for (std::size_t i = 0; i <= kJsonMaxDepth; ++i) objects += R"({"a":)";
+  const std::pair<std::string, std::size_t> cases[] = {
+      {std::string(kJsonMaxDepth + 1, '['), kJsonMaxDepth},
+      {std::string(1 << 20, '['), kJsonMaxDepth},
+      {objects, 5 * kJsonMaxDepth},
+  };
+  for (const auto& [text, offset] : cases) {
+    try {
+      (void)json_parse(text);
+      ADD_FAILURE() << "parsed " << text.size() << " bytes";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), want + std::to_string(offset));
+    }
+  }
 }
 
 TEST(ErrorTest, HierarchyRoots) {
