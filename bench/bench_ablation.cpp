@@ -6,27 +6,16 @@
 ///     per-statement graph — same instants, different computation cost;
 ///  2. the analytic (max,+) throughput bound (maximum cycle ratio of the
 ///     TDG) vs the measured steady-state output period;
-///  4. event-cost sensitivity (speed-up vs synthetic per-event cost);
-///  5. batched vs isolated multi-instance composition (docs/DESIGN.md §9):
-///     N same-description LTE receivers in one kernel, evaluated through
-///     one shared tdg::BatchEngine program vs the N-fold merged graph,
-///     swept over per-instance graph complexity (padding);
-///  6. heterogeneous sub-batch grouping (docs/DESIGN.md §10): a mixed
-///     4+4 composition of two carrier-aggregation receiver variants, each
-///     equal-structure quad on its own shared program, vs the
-///     fully-isolated merged graph.
+///  4. event-cost sensitivity (speed-up vs synthetic per-event cost).
+/// Batched vs isolated composition is bench_lte's multi-instance and mixed
+/// composition tables.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "core/equivalent_model.hpp"
 #include "core/experiment.hpp"
 #include "gen/didactic.hpp"
-#include "lte/receiver.hpp"
-#include "study/study.hpp"
 #include "trace/instants.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/export.hpp"
@@ -48,37 +37,6 @@ double time_equivalent(const model::ArchitectureDesc& desc,
           .count();
   *instances = eq.engine().instances_computed();
   return s;
-}
-
-/// Batched vs isolated wall clock of `parts` composed into one scenario,
-/// swept over per-instance padding: best of 3 each, one table row per pad.
-std::string batch_sweep(const std::string& name,
-                        const std::vector<study::Scenario>& base_parts) {
-  ConsoleTable t({"pad/instance", "isolated (s)", "batched (s)", "speed-up"});
-  for (std::size_t pad : {0u, 100u, 400u}) {
-    std::vector<study::Scenario> parts = base_parts;
-    for (study::Scenario& s : parts) s.with_pad_nodes(pad);
-    const study::Scenario composed = study::compose(name, parts);
-    double wall[2] = {0.0, 0.0};
-    for (int batched = 0; batched < 2; ++batched) {
-      study::RunConfig rc;
-      rc.batch_composed = batched == 1;
-      double best = 1e100;
-      for (int rep = 0; rep < 3; ++rep) {
-        auto model = study::Backend::equivalent().instantiate(composed, rc);
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)model->run();
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      wall[batched] = best;
-    }
-    t.add_row({format("%zu", pad), format("%.3f", wall[0]),
-               format("%.3f", wall[1]), format("%.2fx", wall[0] / wall[1])});
-  }
-  return t.render();
 }
 
 }  // namespace
@@ -173,49 +131,5 @@ int main(int argc, char** argv) {
   }
   std::printf("Ablation 4: event-cost sensitivity (didactic example)\n%s\n",
               t4.render().c_str());
-
-  // --- 5. batched vs isolated multi-instance composition -------------------
-  // N identical LTE receivers share one description (study::compose keeps
-  // them batch-eligible) and run in one kernel either through the batched
-  // equivalent model (one compiled program + shared frame arena) or the
-  // isolated merged graph (RunConfig::batch_composed off). Padding
-  // sweeps the per-instance TDG complexity: at pad 0 the composed receiver
-  // is kernel-bound and batching is neutral; as computation grows (the
-  // Fig. 5 regime) the shared-program fronts pull ahead.
-  constexpr std::size_t kBatchInstances = 8;
-  constexpr std::uint64_t kBatchSymbols = 2000;
-  lte::ReceiverConfig bcfg;
-  bcfg.symbols = kBatchSymbols;
-  bcfg.seed = 2014;
-  const model::DescPtr receiver = model::share(lte::make_receiver(bcfg));
-  std::vector<study::Scenario> clones;
-  for (std::size_t i = 0; i < kBatchInstances; ++i)
-    clones.emplace_back("rx" + std::to_string(i), receiver);
-  std::printf("Ablation 5: batched vs isolated composition (%zu LTE "
-              "receivers, %s symbols each)\n%s\n",
-              kBatchInstances,
-              with_commas(static_cast<std::int64_t>(kBatchSymbols)).c_str(),
-              batch_sweep("ca8", clones).c_str());
-
-  // --- 6. heterogeneous sub-batch grouping ---------------------------------
-  // A mixed composition: 4+4 receivers of two carrier-aggregation variants
-  // (different bandwidths, hence structurally distinct descriptions). The
-  // grouped path runs each equal-structure quad through its own shared
-  // tdg::Program + BatchEngine; the isolated path compiles the 8-fold
-  // merged graph. Same padding sweep as Ablation 5.
-  constexpr std::size_t kMixedPerVariant = 4;
-  constexpr std::uint64_t kMixedSymbols = 2000;
-  std::vector<study::Scenario> mixed;
-  for (const lte::CarrierVariant& v :
-       lte::carrier_aggregation_variants(2, kMixedSymbols, 2014)) {
-    const model::DescPtr d = model::share(lte::make_receiver(v.config));
-    for (std::size_t i = 0; i < kMixedPerVariant; ++i)
-      mixed.emplace_back(v.name + "rx" + std::to_string(i), d);
-  }
-  std::printf("Ablation 6: heterogeneous sub-batches (%zu+%zu receivers of "
-              "two carrier variants, %s symbols each)\n%s\n",
-              kMixedPerVariant, kMixedPerVariant,
-              with_commas(static_cast<std::int64_t>(kMixedSymbols)).c_str(),
-              batch_sweep("camix8", mixed).c_str());
   return 0;
 }

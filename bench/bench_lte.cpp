@@ -11,7 +11,8 @@
 /// A second section scales the case study to a multi-instance workload:
 /// 8 identical receivers (one shared description) in ONE kernel, comparing
 /// the composed baseline, the batched equivalent model (tdg::BatchEngine,
-/// docs/DESIGN.md §9) and the isolated merged-graph equivalent model.
+/// docs/DESIGN.md §9) and the isolated merged-graph equivalent model (the
+/// zero-group core::EquivalentModel over the merged description).
 
 #include <algorithm>
 #include <chrono>
@@ -20,12 +21,37 @@
 #include <string>
 #include <vector>
 
+#include "core/equivalent_model.hpp"
 #include "lte/receiver.hpp"
 #include "study/study.hpp"
 #include "util/strings.hpp"
 
+namespace {
+
+using namespace maxev;
+
+/// Wall-clock seconds of one complete run of \p m.
+template <class M>
+double timed_run(M& m) {
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)m.run();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The isolated leg of a composition: the zero-group equivalent model over
+/// the merged description, padded once per instance.
+std::unique_ptr<core::EquivalentModel> merged_model(
+    const study::Scenario& composed) {
+  core::EquivalentModel::Options opts;
+  opts.pad_nodes = composed.options().pad_nodes * composed.instances().size();
+  return std::make_unique<core::EquivalentModel>(
+      composed.desc_ptr(), composed.options().group, opts);
+}
+
+}  // namespace
+
 int main() {
-  using namespace maxev;
 
   constexpr std::uint64_t kSymbols = 20000;
   std::printf(
@@ -109,25 +135,17 @@ int main() {
   const study::Cell& meq = mrep.at("ca8", "equivalent");
 
   // The batched-vs-isolated ratio is measured with the same statistic on
-  // both legs (best of 3, matching bench_ablation's Ablation 5) — the
+  // both legs (best of 3) — the
   // Study above keeps its median for the baseline speed-up and the
   // accuracy verdict.
   double isolated_s = 1e100;
   double batched_s = 1e100;
-  for (const bool batched : {false, true}) {
-    study::RunConfig rc;
-    rc.batch_composed = batched;
-    double& best = batched ? batched_s : isolated_s;
-    for (int rep = 0; rep < mopts.repetitions; ++rep) {
-      auto m = study::Backend::equivalent().instantiate(composed, rc);
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)m->run();
-      best = std::min(
-          best,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-  }
+  for (int rep = 0; rep < mopts.repetitions; ++rep)
+    isolated_s = std::min(isolated_s, timed_run(*merged_model(composed)));
+  for (int rep = 0; rep < mopts.repetitions; ++rep)
+    batched_s = std::min(
+        batched_s,
+        timed_run(*study::Backend::equivalent().instantiate(composed)));
 
   std::printf("\nmulti-instance composition: %zu identical receivers, %s "
               "symbols each, one kernel\n",
@@ -158,8 +176,7 @@ int main() {
   // receiver descriptions, four instances each, in ONE kernel. The grouped
   // equivalent model runs each equal-structure quad through its own shared
   // tdg::Program + BatchEngine; the fully-isolated leg compiles the 8-fold
-  // merged graph. Padding sweeps the per-instance TDG complexity, the same
-  // axis as Ablations 5/6: at pad 0 the composition is kernel-bound (both
+  // merged graph. Padding sweeps the per-instance TDG complexity: at pad 0 the composition is kernel-bound (both
   // legs simulate the same boundary events, so batching is neutral); the
   // shared-program win appears as per-instance computation grows.
   constexpr std::size_t kPerVariant = 4;
@@ -190,30 +207,24 @@ int main() {
     }
     const study::Scenario mixed = study::compose("camix8", mixed_parts);
 
-    double wall[2] = {0.0, 0.0};
-    std::unique_ptr<study::Model> leg[2];  // last timed run, traces intact
-    for (const bool batched : {false, true}) {
-      study::RunConfig rc;
-      rc.batch_composed = batched;
-      double best = 1e100;
-      for (int rep = 0; rep < mopts.repetitions; ++rep) {
-        auto m = study::Backend::equivalent().instantiate(mixed, rc);
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)m->run();
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
-        leg[batched ? 1 : 0] = std::move(m);
-      }
-      wall[batched ? 1 : 0] = best;
+    // The last timed run of each leg keeps its traces.
+    double wall[2] = {1e100, 1e100};
+    std::unique_ptr<core::EquivalentModel> isolated;
+    std::unique_ptr<study::Model> batched;
+    for (int rep = 0; rep < mopts.repetitions; ++rep) {
+      isolated = merged_model(mixed);
+      wall[0] = std::min(wall[0], timed_run(*isolated));
+    }
+    for (int rep = 0; rep < mopts.repetitions; ++rep) {
+      batched = study::Backend::equivalent().instantiate(mixed);
+      wall[1] = std::min(wall[1], timed_run(*batched));
     }
     // Accuracy: the grouped and the fully-isolated legs must agree on the
     // complete composed trace set (compared on the timed runs' traces —
     // every repetition records, so no extra simulation is needed).
     mixed_accurate =
         mixed_accurate &&
-        trace::compare_instants(leg[0]->instants(), leg[1]->instants()) ==
+        trace::compare_instants(isolated->instants(), batched->instants()) ==
             std::nullopt;
 
     const double speedup = wall[0] / wall[1];

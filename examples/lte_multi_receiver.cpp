@@ -68,8 +68,10 @@ int main(int argc, char** argv) {
   study::StudyOptions opts;
   opts.keep_traces = true;
   // Both parallelism levers (docs/DESIGN.md §11): measure the two backend
-  // cells concurrently AND drain any equal-structure sub-batches of the
-  // composed run on workers. Traces/report are identical at any setting.
+  // cells concurrently, and drain equal-structure sub-batches on workers.
+  // Each carrier builds its own description, so no sub-batch forms here
+  // and group_threads has no effect; the composed run is the zero-group
+  // equivalent model. Traces/report are identical at any setting.
   opts.threads = threads;
   opts.group_threads = threads;
   const study::Report report = st.run(opts);

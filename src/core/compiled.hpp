@@ -12,10 +12,10 @@
 /// \file compiled.hpp
 /// The reusable compilation artifact of one abstraction: everything
 /// derive → fold → pad → freeze → Program::compile produces, bundled with
-/// the key that identifies it. core::EquivalentModel and
-/// core::BatchEquivalentModel consume these instead of re-deriving per run,
-/// and serve::ProgramCache stores them across runs (the study-matrix
-/// speed-up of docs/DESIGN.md §13).
+/// the key that identifies it. core::EquivalentModel consumes these (one
+/// per sub-batch base and one for its inline remainder) instead of
+/// re-deriving per run, and serve::ProgramCache stores them across runs
+/// (the study-matrix speed-up of docs/DESIGN.md §13).
 ///
 /// Sharing rule (the Desc structural-surface contract, desc.hpp): a
 /// compiled tdg::Program holds the description's *behavioural*
@@ -29,8 +29,8 @@ namespace maxev::core {
 
 /// Identity of a compiled abstraction. `group` is stored normalized
 /// (empty → all functions abstracted; sized to functions().size()), the
-/// same normalization EquivalentModel and BatchEquivalentModel apply, so
-/// solo and batch-group requests for the same abstraction unify.
+/// same normalization EquivalentModel applies, so solo and sub-batch
+/// requests for the same abstraction unify.
 struct CompiledKey {
   model::DescPtr desc;
   std::vector<bool> group;

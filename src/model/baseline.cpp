@@ -44,7 +44,8 @@ ModelRuntime::ModelRuntime(DescPtr desc_in, std::vector<bool> skip,
       }
     }
     for (std::size_t r = 0; r < desc.resources().size(); ++r)
-      usage_by_resource_[r]->reserve(execs_per_resource[r] * expected);
+      usage_by_resource_[r]->reserve(
+          trace::saturating_product(execs_per_resource[r], expected));
   }
 
   // Channels. A channel whose two endpoints are both skipped functions is

@@ -147,12 +147,12 @@ class Kernel {
   /// returns false, so it must be idempotent at quiescence.
   ///
   /// This is how deferred computation batches across same-instant events:
-  /// core::BatchEquivalentModel lets all instances' feeds of one instant
-  /// accumulate and drains the resulting iteration fronts here, in one
-  /// pass (docs/DESIGN.md §9). One hook per kernel; passing an empty
-  /// function removes it. Install before run(): the hook's presence is
-  /// sampled once per run() call (the hook-less event loop stays free of
-  /// the check).
+  /// core::EquivalentModel with sub-batches lets all instances' feeds of
+  /// one instant accumulate and drains the resulting iteration fronts
+  /// here, in one pass (docs/DESIGN.md §9). One hook per kernel; passing
+  /// an empty function removes it. Install before run(): the hook's
+  /// presence is sampled once per run() call (the hook-less event loop
+  /// stays free of the check).
   void set_timestep_hook(std::function<bool()> hook) {
     timestep_hook_ = std::move(hook);
   }

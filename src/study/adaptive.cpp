@@ -164,6 +164,23 @@ void PeriodDetector::reset() {
 // AdaptiveModel
 // ---------------------------------------------------------------------------
 
+core::EquivalentModel::Options equivalent_options(
+    const Scenario& s, const RunConfig& rc,
+    const std::vector<BatchGroup>& sub_batches) {
+  std::size_t grouped = 0;
+  for (const BatchGroup& bg : sub_batches) grouped += bg.members.size();
+  core::EquivalentModel::Options opts;
+  opts.fold = s.options().fold;
+  opts.pad_nodes = s.options().pad_nodes;
+  opts.remainder_instances =
+      s.composed() ? s.instances().size() - grouped : 1;
+  opts.observe = rc.observe;
+  opts.expected_iterations = s.options().expected_iterations;
+  opts.threads = rc.threads;
+  opts.compiled = rc.compiled;
+  return opts;
+}
+
 namespace {
 
 /// Internal certification failure: unwinds the fast-forward attempt back to
@@ -175,18 +192,6 @@ struct Refusal {
 };
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-
-core::EquivalentModel::Options eq_options(const Scenario& s,
-                                          const RunConfig& rc) {
-  core::EquivalentModel::Options opts;
-  opts.fold = s.options().fold;
-  opts.pad_nodes = s.composed() ? s.options().pad_nodes * s.instances().size()
-                                : s.options().pad_nodes;
-  opts.observe = rc.observe;
-  opts.expected_iterations = s.options().expected_iterations;
-  opts.compiled = rc.compiled;
-  return opts;
-}
 
 /// Certified increment over one period P of an `earliest` functor on
 /// [frontier, count): E with fn(k) = fn(k-P) + E for every k in the range.
@@ -311,7 +316,7 @@ void certify_loads(const tdg::Program& prog, std::uint32_t period,
 AdaptiveModel::AdaptiveModel(const Scenario& scenario, const RunConfig& config,
                              AdaptiveOptions opts)
     : eq_(scenario.desc_ptr(), scenario.options().group,
-          eq_options(scenario, config)),
+          equivalent_options(scenario, config, {})),
       opts_(opts),
       user_cancel_(config.cancel),
       detector_(eq_.graph().node_count(),

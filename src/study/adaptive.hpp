@@ -104,10 +104,20 @@ class PeriodDetector {
   std::uint64_t valid_from_ = 0;  ///< frames before this are forgotten
 };
 
-/// The adaptive executable model: a merged-graph core::EquivalentModel plus
+/// The core::EquivalentModel options of \p s under \p rc — the one
+/// scenario-to-model derivation of the equivalent and adaptive backends.
+/// Padding is per instance (ScenarioOptions::pad_nodes); the inline
+/// remainder spans every instance of \p s outside \p sub_batches (a plain
+/// scenario is one instance).
+[[nodiscard]] core::EquivalentModel::Options equivalent_options(
+    const Scenario& s, const RunConfig& rc,
+    const std::vector<BatchGroup>& sub_batches);
+
+/// The adaptive executable model: a zero-group core::EquivalentModel plus
 /// the detector/certifier/fast-forward machinery, behind the study::Model
-/// interface. Composed scenarios run on the merged graph (the batched
-/// engine's timestep hook slot is taken; the merged path is bit-identical).
+/// interface. Composed scenarios run on the merged graph: the detector
+/// owns the timestep hook a sub-batch would need, and the merged graph is
+/// bit-identical to the sub-batched run.
 ///
 /// Public (rather than hidden in backend.cpp) so the property tests can
 /// poke the detector and stats directly.

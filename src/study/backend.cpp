@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/batch_equivalent_model.hpp"
 #include "core/equivalent_model.hpp"
 #include "core/lt_runner.hpp"
 #include "study/adaptive.hpp"
@@ -57,66 +56,15 @@ class BaselineModel final : public Model {
   model::ModelRuntime rt_;
 };
 
+/// The paper's method on any scenario: the zero-group model for plain
+/// scenarios and compositions without a shared description, one
+/// tdg::BatchEngine per equal-structure sub-batch plus the inline
+/// remainder otherwise — all in one kernel (docs/DESIGN.md §9–§10).
 class EquivalentBackendModel final : public Model {
  public:
   EquivalentBackendModel(const Scenario& s, const RunConfig& rc)
-      : eq_(s.desc_ptr(), s.options().group, options_of(s, rc)) {
-    apply_overhead(eq_.runtime().kernel(), rc.event_overhead_ns);
-    apply_guards(eq_.runtime().kernel(), rc);
-  }
-
-  Outcome run(std::optional<TimePoint> until) override { return eq_.run(until); }
-  const trace::InstantTraceSet& instants() const override {
-    return eq_.instants();
-  }
-  const trace::UsageTraceSet& usage() const override { return eq_.usage(); }
-  const sim::KernelStats& kernel_stats() const override {
-    return eq_.kernel_stats();
-  }
-  std::uint64_t relation_events() const override {
-    return eq_.relation_events();
-  }
-  TimePoint end_time() const override { return eq_.end_time(); }
-  sim::Kernel& kernel() override { return eq_.runtime().kernel(); }
-  std::uint64_t instances_computed() const override {
-    return eq_.engine().instances_computed();
-  }
-  std::uint64_t arc_terms_evaluated() const override {
-    return eq_.engine().arc_terms_evaluated();
-  }
-  GraphShape graph_shape() const override {
-    return {eq_.graph().node_count(), eq_.graph().paper_node_count(),
-            eq_.graph().arc_count()};
-  }
-
- private:
-  static core::EquivalentModel::Options options_of(const Scenario& s,
-                                                   const RunConfig& rc) {
-    core::EquivalentModel::Options opts;
-    opts.fold = s.options().fold;
-    // pad_nodes is per instance (ScenarioOptions): the merged graph of a
-    // composed scenario carries one padding block per instance, matching
-    // the batched path's padded base graph evaluated N times.
-    opts.pad_nodes = s.composed()
-                         ? s.options().pad_nodes * s.instances().size()
-                         : s.options().pad_nodes;
-    opts.observe = rc.observe;
-    opts.expected_iterations = s.options().expected_iterations;
-    opts.compiled = rc.compiled;
-    return opts;
-  }
-
-  core::EquivalentModel eq_;
-};
-
-/// The batched path for composed scenarios with equal-structure
-/// sub-batches: one compiled program + shared frame arena per sub-batch,
-/// the isolated remainder on the merged inline engine, all in one kernel
-/// (docs/DESIGN.md §9–§10).
-class BatchEquivalentBackendModel final : public Model {
- public:
-  BatchEquivalentBackendModel(const Scenario& s, const RunConfig& rc)
-      : eq_(s.desc_ptr(), specs_of(s), options_of(s, rc)) {
+      : eq_(s.desc_ptr(), s.options().group,
+            equivalent_options(s, rc, s.batch_groups()), specs_of(s)) {
     apply_overhead(eq_.runtime().kernel(), rc.event_overhead_ns);
     apply_guards(eq_.runtime().kernel(), rc);
   }
@@ -141,23 +89,21 @@ class BatchEquivalentBackendModel final : public Model {
     return eq_.arc_terms_evaluated();
   }
   /// The *compiled programs'* shape — each sub-batch's base graph plus the
-  /// remainder graph, not the N-fold merged graph the isolated path would
-  /// build.
+  /// remainder graph, not the N-fold merged graph of a zero-group model.
   GraphShape graph_shape() const override {
-    const core::BatchEquivalentModel::CompiledShape shape =
-        eq_.compiled_shape();
+    const core::EquivalentModel::CompiledShape shape = eq_.compiled_shape();
     return {shape.nodes, shape.paper_nodes, shape.arcs};
   }
 
  private:
   /// Equal-structure sub-batches, translated from the scenario's grouping
   /// (Scenario::batch_groups()) into merged-table spans.
-  static std::vector<core::BatchEquivalentModel::GroupSpec> specs_of(
+  static std::vector<core::EquivalentModel::GroupSpec> specs_of(
       const Scenario& s) {
-    std::vector<core::BatchEquivalentModel::GroupSpec> specs;
+    std::vector<core::EquivalentModel::GroupSpec> specs;
     specs.reserve(s.batch_groups().size());
     for (const BatchGroup& bg : s.batch_groups()) {
-      core::BatchEquivalentModel::GroupSpec spec;
+      core::EquivalentModel::GroupSpec spec;
       spec.base = bg.base;
       spec.group = bg.group;
       for (const std::size_t m : bg.members) {
@@ -171,50 +117,7 @@ class BatchEquivalentBackendModel final : public Model {
     return specs;
   }
 
-  static core::BatchEquivalentModel::Options options_of(const Scenario& s,
-                                                        const RunConfig& rc) {
-    core::BatchEquivalentModel::Options opts;
-    opts.fold = s.options().fold;
-    // pad_nodes stays per instance across every leg (ScenarioOptions): each
-    // sub-batch pads its base graph once (evaluated per member) and the
-    // remainder graph is padded per remainder instance below, so a mixed
-    // composition runs the same padded work batched or fully isolated.
-    opts.pad_nodes = s.options().pad_nodes;
-    opts.observe = rc.observe;
-    opts.expected_iterations = s.options().expected_iterations;
-
-    // The isolated remainder: instances in no sub-batch keep their
-    // abstracted functions on the merged inline engine. Merged-level
-    // flags: the composed group restricted to those instances (empty
-    // composed group = abstract everything).
-    std::vector<bool> grouped(s.instances().size(), false);
-    for (const BatchGroup& bg : s.batch_groups())
-      for (const std::size_t m : bg.members) grouped[m] = true;
-    const std::vector<bool>& composed_group = s.options().group;
-    std::vector<bool> isolated;
-    std::size_t isolated_count = 0;
-    for (std::size_t i = 0; i < s.instances().size(); ++i) {
-      if (grouped[i]) continue;
-      const Instance& inst = s.instances()[i];
-      if (isolated.empty()) isolated.assign(s.desc().functions().size(), false);
-      for (std::size_t f = inst.fn_begin; f < inst.fn_end; ++f)
-        isolated[f] = composed_group.empty() ? true : composed_group[f];
-      ++isolated_count;
-    }
-    // All-false flags mean "no remainder at all" to the model; drop them
-    // when the leftover instances abstract nothing (fully simulated).
-    bool any = false;
-    for (const bool f : isolated) any = any || f;
-    if (any) {
-      opts.isolated_group = std::move(isolated);
-      opts.isolated_instances = isolated_count;
-    }
-    opts.threads = rc.threads;
-    opts.compiled = rc.compiled;
-    return opts;
-  }
-
-  core::BatchEquivalentModel eq_;
+  core::EquivalentModel eq_;
 };
 
 class LooselyTimedBackendModel final : public Model {
@@ -273,21 +176,11 @@ std::unique_ptr<Model> Backend::instantiate(const Scenario& scenario,
     case Kind::kBaseline:
       return std::make_unique<BaselineModel>(scenario, config);
     case Kind::kEquivalent:
-      // Any equal-structure sub-batch (>= 2 instances sharing one
-      // description + group) routes through the batched model; the fully
-      // homogeneous case is the one-group special case. Compositions with
-      // no sub-batch at all — and plain scenarios — take the merged
-      // inline engine.
-      if (config.batch_composed && scenario.partially_batchable())
-        return std::make_unique<BatchEquivalentBackendModel>(scenario, config);
       return std::make_unique<EquivalentBackendModel>(scenario, config);
     case Kind::kLooselyTimed:
       return std::make_unique<LooselyTimedBackendModel>(scenario, config,
                                                         quantum_);
     case Kind::kAdaptive:
-      // Composed scenarios run on the merged graph: the batched drain owns
-      // the timestep-hook slot the detector needs, and the merged path is
-      // pinned bit-identical to it.
       return std::make_unique<AdaptiveModel>(scenario, config, adaptive_);
   }
   throw Error("Backend::instantiate: unreachable");

@@ -136,21 +136,11 @@ struct RunConfig {
   /// Synthetic wall-clock cost per kernel event (emulates heavier
   /// commercial kernels; applied identically to every backend).
   double event_overhead_ns = 0.0;
-  /// Run composed scenarios with equal-structure sub-batches
-  /// (Scenario::partially_batchable(): >= 2 instances sharing one
-  /// description + abstraction group, possibly several such groups)
-  /// through the batched equivalent model — one compiled program + shared
-  /// frame arena per sub-batch, the isolated remainder on the merged
-  /// inline engine, all in one kernel — instead of the N-times-larger
-  /// merged graph. On by default; per-instance traces are bit-identical
-  /// either way (docs/DESIGN.md §9–§10). Only the equivalent backend
-  /// consults this.
-  bool batch_composed = true;
-  /// Worker threads draining a batched composition's per-group engines
-  /// between timestep barriers (core::BatchEquivalentModel::Options::
-  /// threads; docs/DESIGN.md §11). 1 = serial drain (the default; also
-  /// used when a model has < 2 sub-batches), 0 = one per hardware thread.
-  /// Traces and reports are bit-identical at any setting.
+  /// Worker threads draining a composed run's equal-structure sub-batches
+  /// between timestep barriers (core::EquivalentModel::Options::threads;
+  /// docs/DESIGN.md §11). 1 = serial drain (the default; also used when a
+  /// model has < 2 sub-batches), 0 = one per hardware thread. Traces and
+  /// reports are bit-identical at any setting.
   int threads = 1;
   /// Run guards (sim::RunGuards), applied to every instantiated model's
   /// kernel. 0 / nullptr = unguarded (the guard branch of the kernel loop
@@ -166,9 +156,10 @@ struct RunConfig {
   /// at every batch-drain barrier). Not owned; must outlive the models.
   const util::CancelToken* cancel = nullptr;
   /// Source of compiled abstractions (core::CompiledProvider) consulted by
-  /// the equivalent backends — a serve::ProgramCache here makes repeated
-  /// instantiations of one structure share a single derive + compile.
-  /// Null = compile privately. Not owned; must outlive the models.
+  /// the equivalent and adaptive backends — a serve::ProgramCache here
+  /// makes repeated instantiations of one structure share a single derive
+  /// + compile. Null = compile privately. Not owned; must outlive the
+  /// models.
   core::CompiledProvider* compiled = nullptr;
 };
 

@@ -174,7 +174,7 @@ Scenario compose(std::string name, const std::vector<Scenario>& instances) {
   // the same abstraction group. Pointer identity is deliberate — it implies
   // structural equality, and equal-but-distinct descriptions hold distinct
   // std::function workloads that cannot be proven equivalent, so they stay
-  // in separate sub-batches (and fall to the isolated remainder when
+  // in separate sub-batches (and fall to the inline remainder when
   // alone).
   std::vector<BatchGroup> candidates;
   for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -197,7 +197,7 @@ Scenario compose(std::string name, const std::vector<Scenario>& instances) {
     home->members.push_back(i);
   }
   for (BatchGroup& c : candidates)
-    if (c.members.size() >= 2)  // singletons: isolated remainder
+    if (c.members.size() >= 2)  // singletons: inline remainder
       out.batch_groups_.push_back(std::move(c));
   return out;
 }

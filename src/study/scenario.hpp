@@ -35,9 +35,10 @@ struct ScenarioOptions {
   /// Fold pass-through completion nodes (paper's Fig. 3 compact form).
   bool fold = true;
   /// Insert this many pass-through padding nodes (Fig. 5 sweeps). For a
-  /// composed scenario this is *per instance*: the batched path pads the
-  /// base graph (evaluated once per instance) and the merged path pads the
-  /// merged graph N-fold, so both execute the same padded workload.
+  /// composed scenario this is *per instance*: a sub-batch pads its base
+  /// graph (evaluated once per member) and the inline remainder pads its
+  /// graph once per instance it spans, so every leg executes the same
+  /// padded workload.
   std::size_t pad_nodes = 0;
   /// Capacity hint for the observation sinks: expected iteration count.
   /// 0 = derive from the description (largest source token count).
@@ -51,8 +52,8 @@ struct ScenarioOptions {
 /// same group vector. Pointer identity implies structural equality and
 /// supplies the behavioural guarantee that model::structurally_equal
 /// cannot (the opaque workload std::functions). Only groups of >= 2
-/// members are recorded; everything else is the isolated remainder the
-/// equivalent backend runs through the merged path.
+/// members are recorded; everything else is the inline remainder the
+/// equivalent model evaluates on its merged-description engine.
 struct BatchGroup {
   model::DescPtr base;
   /// Base-level abstraction group, normalized to explicit per-function
@@ -105,16 +106,12 @@ class Scenario {
 
   /// The equal-structure sub-batches of a composed scenario (>= 2 members
   /// each; possibly several — the heterogeneous carrier-aggregation case,
-  /// docs/DESIGN.md §10). Instances in no group form the isolated
-  /// remainder. Empty for plain scenarios and for compositions with no
-  /// two instances sharing a description+group.
+  /// docs/DESIGN.md §10). Instances in no group form the inline remainder.
+  /// Empty for plain scenarios and for compositions with no two instances
+  /// sharing a description+group: the zero-group case of the equivalent
+  /// model.
   [[nodiscard]] const std::vector<BatchGroup>& batch_groups() const {
     return batch_groups_;
-  }
-  /// True when at least one sub-batch exists — the equivalent backend can
-  /// then route this scenario through per-group batched execution.
-  [[nodiscard]] bool partially_batchable() const {
-    return !batch_groups_.empty();
   }
 
  private:

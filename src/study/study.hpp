@@ -47,9 +47,9 @@ struct StudyOptions {
   /// honest per cell but contend for cores; for timing-grade numbers keep
   /// 1.
   int threads = 1;
-  /// Worker threads *inside* each batched composed cell, draining its
-  /// per-group engines between timestep barriers (RunConfig::threads /
-  /// core::BatchEquivalentModel::Options::threads). Independent of
+  /// Worker threads *inside* each composed cell with sub-batches, draining
+  /// its per-group engines between timestep barriers (RunConfig::threads /
+  /// core::EquivalentModel::Options::threads). Independent of
   /// `threads`; both levers may be combined. 1 = serial drain (default),
   /// 0 = one per hardware thread.
   int group_threads = 1;

@@ -120,8 +120,8 @@ void BatchEngine::bind_sinks() {
     if (opts_.expected_iterations > 0) {
       for (std::size_t r = 0; r < usage_by_resource.size(); ++r)
         if (obs_per_resource[r] > 0)
-          usage_by_resource[r]->reserve(obs_per_resource[r] *
-                                        opts_.expected_iterations);
+          usage_by_resource[r]->reserve(trace::saturating_product(
+            obs_per_resource[r], opts_.expected_iterations));
     }
   }
 }

@@ -38,7 +38,7 @@
 ///
 /// Iteration fronts — deferred drains. Unlike tdg::Engine, the set_*
 /// feeds never propagate immediately: they enqueue work, and flush()
-/// drains it. The intended driver (core::BatchEquivalentModel) calls
+/// drains it. The intended driver (core::EquivalentModel) calls
 /// flush() from the kernel's timestep hook, i.e. once per simulated
 /// instant, after *every* instance's feeds for that instant have arrived.
 /// Ready instances of the same (node, k) then collect into one front that

@@ -82,8 +82,8 @@ void Engine::compile() {
   if (opts_.expected_iterations > 0) {
     for (std::size_t r = 0; r < usage_by_resource.size(); ++r)
       if (obs_per_resource[r] > 0)
-        usage_by_resource[r]->reserve(obs_per_resource[r] *
-                                      opts_.expected_iterations);
+        usage_by_resource[r]->reserve(trace::saturating_product(
+            obs_per_resource[r], opts_.expected_iterations));
   }
 
   node_flags_.assign(n_nodes_, 0);

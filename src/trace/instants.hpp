@@ -1,6 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -17,6 +20,20 @@
 
 namespace maxev::trace {
 
+/// Largest capacity an observation sink pre-sizes for. Capacity hints come
+/// from declared token counts, and a stream source may declare any count
+/// (it is fed incrementally); past this many entries a sink grows on
+/// demand instead. Far above every hint of a fully declared workload.
+inline constexpr std::size_t kMaxReserve = std::size_t{1} << 22;
+
+/// a × b for capacity hints, saturating instead of wrapping.
+[[nodiscard]] constexpr std::size_t saturating_product(std::uint64_t a,
+                                                       std::uint64_t b) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::size_t>::max();
+  if (a != 0 && b > kMax / a) return static_cast<std::size_t>(kMax);
+  return static_cast<std::size_t>(a * b);
+}
+
 /// Instants of one relation, indexed by iteration k.
 class InstantSeries {
  public:
@@ -26,8 +43,9 @@ class InstantSeries {
   void push(TimePoint t) { instants_.push_back(t); }
 
   /// Pre-size for an expected instant count (capacity hint from the runner;
-  /// observation-on runs should not reallocate mid-flight).
-  void reserve(std::size_t n) { instants_.reserve(n); }
+  /// observation-on runs should not reallocate mid-flight), at most
+  /// kMaxReserve.
+  void reserve(std::size_t n) { instants_.reserve(std::min(n, kMaxReserve)); }
 
   [[nodiscard]] std::size_t size() const { return instants_.size(); }
   [[nodiscard]] TimePoint at(std::size_t k) const;

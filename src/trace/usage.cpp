@@ -40,6 +40,7 @@ void UsageTrace::add(BusyInterval iv) {
 }
 
 void UsageTrace::reserve(std::size_t n) {
+  n = std::min(n, kMaxReserve);
   starts_.reserve(n);
   ends_.reserve(n);
   ops_.reserve(n);

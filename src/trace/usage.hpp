@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/instants.hpp"
 #include "util/time.hpp"
 
 /// \file usage.hpp

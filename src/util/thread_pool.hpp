@@ -12,7 +12,7 @@
 /// \file thread_pool.hpp
 /// The worker pool behind both parallelism levers (docs/DESIGN.md §11):
 /// study::Study runs its scenario×backend cells on one, and
-/// core::BatchEquivalentModel drains its per-group batch engines on one
+/// core::EquivalentModel drains its per-group batch engines on one
 /// between kernel timestep barriers.
 ///
 /// Design constraints, in order:

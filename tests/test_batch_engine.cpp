@@ -5,11 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_equivalent_model.hpp"
 #include "core/equivalent_model.hpp"
 #include "gen/didactic.hpp"
 #include "gen/random_arch.hpp"
 #include "lte/receiver.hpp"
+#include "merged_reference.hpp"
 #include "model/baseline.hpp"
 #include "study/study.hpp"
 #include "tdg/batch_engine.hpp"
@@ -50,9 +50,9 @@ bool one_batch(const Scenario& s) {
 
 /// The homogeneous sub-batch layout over \p base: member i occupies block
 /// [i * n, (i + 1) * n) of every merged table.
-core::BatchEquivalentModel::GroupSpec clone_spec(
+core::EquivalentModel::GroupSpec clone_spec(
     const model::DescPtr& base, const std::vector<std::string>& names) {
-  core::BatchEquivalentModel::GroupSpec spec;
+  core::EquivalentModel::GroupSpec spec;
   spec.base = base;
   spec.names = names;
   for (std::size_t i = 0; i < names.size(); ++i)
@@ -71,7 +71,7 @@ void expect_clones_match_solo(const Scenario& composed,
                               const model::DescPtr& desc,
                               std::vector<bool> group = {},
                               const char* context = "") {
-  RunConfig rc;  // batch_composed defaults to true
+  RunConfig rc;
   auto whole = Backend::equivalent().instantiate(composed, rc);
   ASSERT_TRUE(whole->run().completed) << context;
 
@@ -101,17 +101,15 @@ void expect_clones_match_solo(const Scenario& composed,
 }
 
 /// The batched (drained by \p threads workers) and the isolated
-/// (merged-graph) composed runs must produce identical full trace sets and
-/// identical completion times.
+/// (merged-graph reference) composed runs must produce identical full
+/// trace sets and identical completion times.
 void expect_batched_matches_isolated(const Scenario& composed,
                                      const char* context = "",
                                      int threads = 1) {
   RunConfig batched_rc;
   batched_rc.threads = threads;
-  RunConfig isolated_rc;
-  isolated_rc.batch_composed = false;
   auto batched = Backend::equivalent().instantiate(composed, batched_rc);
-  auto isolated = Backend::equivalent().instantiate(composed, isolated_rc);
+  auto isolated = merged_reference(composed);
   ASSERT_TRUE(batched->run().completed) << context;
   ASSERT_TRUE(isolated->run().completed) << context;
 
@@ -179,12 +177,10 @@ TEST(BatchEligibilityTest, BatchedModelCompilesTheBaseProgram) {
 
   auto solo = Backend::equivalent().instantiate(Scenario("solo", desc));
   auto batched = Backend::equivalent().instantiate(composed);
-  RunConfig off;
-  off.batch_composed = false;
-  auto isolated = Backend::equivalent().instantiate(composed, off);
+  auto isolated = merged_reference(composed);
 
   EXPECT_EQ(batched->graph_shape().nodes, solo->graph_shape().nodes);
-  EXPECT_EQ(isolated->graph_shape().nodes, 4 * solo->graph_shape().nodes);
+  EXPECT_EQ(isolated->compiled_shape().nodes, 4 * solo->graph_shape().nodes);
 }
 
 // ------------------------------------------------- Bit-identical instants
@@ -313,8 +309,8 @@ TEST(BatchEngineTest, LockSteppedClonesFormWideFronts) {
 
   std::vector<std::string> names;
   for (const Instance& inst : composed.instances()) names.push_back(inst.name);
-  core::BatchEquivalentModel m(composed.desc_ptr(), {clone_spec(base, names)},
-                               {});
+  core::EquivalentModel m(composed.desc_ptr(), {}, {},
+                          {clone_spec(base, names)});
   ASSERT_TRUE(m.run().completed);
   ASSERT_GT(m.engine(0).fronts_drained(), 0u);
   const double width =
@@ -332,7 +328,7 @@ void expect_instances_match_their_solos(
     const Scenario& composed,
     const std::vector<model::DescPtr>& descs_by_instance,
     const char* context = "") {
-  RunConfig rc;  // batch_composed defaults to true
+  RunConfig rc;
   auto whole = Backend::equivalent().instantiate(composed, rc);
   ASSERT_TRUE(whole->run().completed) << context;
 
@@ -382,7 +378,7 @@ TEST(HeterogeneousBatchTest, MixedCompositionFormsSubBatches) {
   const Scenario mixed = compose("mixed", parts);
 
   EXPECT_FALSE(one_batch(mixed));  // not ONE equal-structure batch
-  EXPECT_TRUE(mixed.partially_batchable());
+  EXPECT_FALSE(mixed.batch_groups().empty());
   ASSERT_EQ(mixed.batch_groups().size(), 2u);
   EXPECT_EQ(mixed.batch_groups()[0].base, a);
   EXPECT_EQ(mixed.batch_groups()[0].members,
@@ -417,7 +413,9 @@ TEST(HeterogeneousBatchTest, EqualButDistinctDescriptionsStaySeparate) {
   parts.emplace_back("a0", a);
   parts.emplace_back("b0", b);
   const Scenario pair = compose("pair", parts);
-  EXPECT_FALSE(pair.partially_batchable());
+  EXPECT_TRUE(pair.batch_groups().empty());
+  // The zero-group backend run still matches the merged-graph reference.
+  expect_batched_matches_isolated(pair, "equal-but-distinct pair");
 }
 
 TEST(HeterogeneousBatchTest, MixedDidacticMatchesSolosAndIsolated) {
@@ -613,10 +611,8 @@ TEST(HeterogeneousBatchTest, PerGroupPadRunsEqualWorkAcrossLegs) {
   ASSERT_EQ(mixed.batch_groups().size(), 2u);
 
   RunConfig batched_rc;
-  RunConfig isolated_rc;
-  isolated_rc.batch_composed = false;
   auto batched = Backend::equivalent().instantiate(mixed, batched_rc);
-  auto isolated = Backend::equivalent().instantiate(mixed, isolated_rc);
+  auto isolated = merged_reference(mixed);
   ASSERT_TRUE(batched->run().completed);
   ASSERT_TRUE(isolated->run().completed);
   EXPECT_EQ(trace::compare_instants(isolated->instants(), batched->instants()),
@@ -630,7 +626,7 @@ TEST(HeterogeneousBatchTest, PerGroupPadRunsEqualWorkAcrossLegs) {
   auto solo = Backend::equivalent().instantiate(Scenario("solo", a));
   const std::size_t s_nodes = solo->graph_shape().nodes;
   EXPECT_EQ(batched->graph_shape().nodes, 3 * (s_nodes + kPad));
-  EXPECT_EQ(isolated->graph_shape().nodes, 5 * s_nodes + 5 * kPad);
+  EXPECT_EQ(isolated->compiled_shape().nodes, 5 * s_nodes + 5 * kPad);
 }
 
 // The inline-resume fast path: gated inputs whose completion is already
@@ -644,10 +640,8 @@ TEST(HeterogeneousBatchTest, InlineResumeClosesTheKernelEventGap) {
   const auto desc = model::share(gen::make_didactic(cfg));
   const Scenario composed = compose_clones(desc, 4);
   RunConfig batched_rc;
-  RunConfig isolated_rc;
-  isolated_rc.batch_composed = false;
   auto batched = Backend::equivalent().instantiate(composed, batched_rc);
-  auto isolated = Backend::equivalent().instantiate(composed, isolated_rc);
+  auto isolated = merged_reference(composed);
   ASSERT_TRUE(batched->run().completed);
   ASSERT_TRUE(isolated->run().completed);
   EXPECT_LE(batched->kernel_stats().events_scheduled,
@@ -803,18 +797,17 @@ TEST(BatchEngineTest, MergedDescriptionMismatchRejected) {
   const Scenario composed = compose("c", parts);
   // An extra member of the right base: its span runs past the merged
   // tables, and the check must fire before anything is wired.
-  EXPECT_THROW(core::BatchEquivalentModel(
-                   composed.desc_ptr(), {clone_spec(base, {"a", "b", "c"})},
-                   {}),
+  EXPECT_THROW(core::EquivalentModel(composed.desc_ptr(), {}, {},
+                                     {clone_spec(base, {"a", "b", "c"})}),
                DescriptionError);
   // Same table *sizes* but different content (token counts differ): the
   // structural replication check must still reject the wrong base.
-  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
-                                          {clone_spec(other, {"a", "b"})}, {}),
+  EXPECT_THROW(core::EquivalentModel(composed.desc_ptr(), {}, {},
+                                     {clone_spec(other, {"a", "b"})}),
                DescriptionError);
   // And the right base passes.
-  EXPECT_NO_THROW(core::BatchEquivalentModel(
-      composed.desc_ptr(), {clone_spec(base, {"a", "b"})}, {}));
+  EXPECT_NO_THROW(core::EquivalentModel(composed.desc_ptr(), {}, {},
+                                        {clone_spec(base, {"a", "b"})}));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/compiled.hpp"
 #include "gen/didactic.hpp"
 #include "gen/random_arch.hpp"
+#include "merged_reference.hpp"
 #include "model/desc.hpp"
 #include "model/load.hpp"
 #include "study/study.hpp"
@@ -256,12 +257,11 @@ Scenario clones(const model::DescPtr& desc, std::size_t n) {
   return study::compose("clones", parts);
 }
 
-/// Run \p scenario on the equivalent backend: batched (the default) or on
-/// the merged graph, the reference executor, with \p threads drain workers.
-std::unique_ptr<study::Model> run_with(const Scenario& scenario, bool batched,
+/// Run \p scenario on the equivalent backend with \p threads drain
+/// workers.
+std::unique_ptr<study::Model> run_with(const Scenario& scenario,
                                        int threads) {
   RunConfig rc;
-  rc.batch_composed = batched;
   rc.threads = threads;
   auto m = Backend::equivalent().instantiate(scenario, rc);
   EXPECT_TRUE(m->run().completed);
@@ -270,7 +270,8 @@ std::unique_ptr<study::Model> run_with(const Scenario& scenario, bool batched,
 
 /// What every executor agrees on: instant traces both directions, sorted
 /// usage, completion time, relation events and instances computed.
-void expect_same_results(const study::Model& ref, const study::Model& got,
+template <class Ref>
+void expect_same_results(const Ref& ref, const study::Model& got,
                          const std::string& ctx) {
   EXPECT_EQ(trace::compare_instants(ref.instants(), got.instants()),
             std::nullopt)
@@ -306,12 +307,13 @@ void expect_same_costs(const study::Model& ref, const study::Model& got,
 /// and against the serial batched run (costs).
 void expect_batched_matches_merged(const Scenario& scenario,
                                    const std::string& ctx) {
-  const auto merged = run_with(scenario, false, 1);
-  const auto serial = run_with(scenario, true, 1);
+  const auto merged = merged_reference(scenario);
+  EXPECT_TRUE(merged->run().completed);
+  const auto serial = run_with(scenario, 1);
   expect_same_results(*merged, *serial, ctx + " t1");
   for (const int threads : {2, 8}) {
     const std::string tctx = ctx + " t" + std::to_string(threads);
-    const auto got = run_with(scenario, true, threads);
+    const auto got = run_with(scenario, threads);
     expect_same_results(*merged, *got, tctx);
     expect_same_costs(*serial, *got, tctx);
   }

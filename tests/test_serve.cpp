@@ -64,6 +64,21 @@ std::string streamified_didactic(const gen::DidacticConfig& cfg) {
   return json_dump(JsonValue::object(std::move(root)));
 }
 
+/// \p scenario_json with every source declaring \p count tokens.
+std::string with_source_count(const std::string& scenario_json, double count) {
+  auto root = json_parse(scenario_json).members();
+  auto d = root.at("desc").members();
+  std::vector<JsonValue> sources;
+  for (const JsonValue& src : d.at("sources").items()) {
+    auto s = src.members();
+    s["count"] = JsonValue::number(count);
+    sources.push_back(JsonValue::object(std::move(s)));
+  }
+  d["sources"] = JsonValue::array(std::move(sources));
+  root["desc"] = JsonValue::object(std::move(d));
+  return json_dump(JsonValue::object(std::move(root)));
+}
+
 /// The full token set of the didactic source, straight from the
 /// generator's behavioural functions.
 std::vector<serve::Session::FedToken> didactic_tokens(
@@ -406,6 +421,39 @@ TEST(SessionTest, SessionsShareACompileCache) {
 
 // ----------------------------------------------------------- protocol ----
 
+/// A `submit` request line for \p session.
+std::string submit_line(const std::string& session,
+                        const std::string& scenario) {
+  JsonWriter w;
+  w.begin_object()
+      .field("cmd", "submit")
+      .field("session", session)
+      .field("scenario_json", scenario)
+      .end_object();
+  return w.str();
+}
+
+/// A `feed` request line: tokens [lo, hi) to source 0 of \p session.
+std::string feed_line(const std::string& session,
+                      const std::vector<serve::Session::FedToken>& tokens,
+                      std::size_t lo, std::size_t hi) {
+  JsonWriter w;
+  w.begin_object()
+      .field("cmd", "feed")
+      .field("session", session)
+      .field("source", std::uint64_t{0});
+  w.key("tokens").begin_array();
+  for (std::size_t k = lo; k < hi; ++k) {
+    w.begin_object().field("earliest_ps", tokens[k].earliest_ps);
+    w.key("attrs").begin_object().field("size", tokens[k].attrs.size);
+    w.key("params").begin_array();
+    for (const double p : tokens[k].attrs.params) w.value(p);
+    w.end_array().end_object().end_object();
+  }
+  w.end_array().end_object();
+  return w.str();
+}
+
 TEST(ProtocolTest, ServesFeedPollCheckpointRestoreClose) {
   serve::Server server;
   const std::string scenario = streamified_didactic(small_didactic());
@@ -415,35 +463,13 @@ TEST(ProtocolTest, ServesFeedPollCheckpointRestoreClose) {
   auto request = [&](const std::string& line) {
     return json_parse(server.handle(line));
   };
-  auto feed_line = [&](std::size_t lo, std::size_t hi) {
-    JsonWriter w;
-    w.begin_object()
-        .field("cmd", "feed")
-        .field("session", "s")
-        .field("source", std::uint64_t{0});
-    w.key("tokens").begin_array();
-    for (std::size_t k = lo; k < hi; ++k) {
-      w.begin_object().field("earliest_ps", tokens[k].earliest_ps);
-      w.key("attrs").begin_object().field("size", tokens[k].attrs.size);
-      w.key("params").begin_array();
-      for (const double p : tokens[k].attrs.params) w.value(p);
-      w.end_array().end_object().end_object();
-    }
-    w.end_array().end_object();
-    return w.str();
-  };
 
-  JsonWriter submit;
-  submit.begin_object()
-      .field("cmd", "submit")
-      .field("session", "s")
-      .field("scenario_json", scenario)
-      .end_object();
-  const JsonValue sub = request(submit.str());
-  ASSERT_TRUE(sub.at("ok").as_bool()) << server.handle(submit.str());
+  const std::string submit = submit_line("s", scenario);
+  const JsonValue sub = request(submit);
+  ASSERT_TRUE(sub.at("ok").as_bool()) << server.handle(submit);
   ASSERT_EQ(sub.at("stream_sources").size(), 1u);
 
-  ASSERT_TRUE(request(feed_line(0, 5)).at("ok").as_bool());
+  ASSERT_TRUE(request(feed_line("s", tokens, 0, 5)).at("ok").as_bool());
   ASSERT_TRUE(request(R"({"cmd":"poll","session":"s"})").at("ok").as_bool());
 
   const JsonValue ckpt = request(R"({"cmd":"checkpoint","session":"s"})");
@@ -459,7 +485,8 @@ TEST(ProtocolTest, ServesFeedPollCheckpointRestoreClose) {
       .end_object();
   ASSERT_TRUE(request(restore.str()).at("ok").as_bool());
 
-  ASSERT_TRUE(request(feed_line(5, tokens.size())).at("ok").as_bool());
+  ASSERT_TRUE(
+      request(feed_line("s", tokens, 5, tokens.size())).at("ok").as_bool());
   const JsonValue last = request(R"({"cmd":"poll","session":"s"})");
   ASSERT_TRUE(last.at("ok").as_bool());
   EXPECT_TRUE(last.at("completed").as_bool());
@@ -467,6 +494,37 @@ TEST(ProtocolTest, ServesFeedPollCheckpointRestoreClose) {
   const JsonValue stats = request(R"({"cmd":"stats"})");
   EXPECT_EQ(stats.at("sessions").as_uint64(), 1u);
   EXPECT_GE(stats.at("cache").at("misses").as_uint64(), 1u);
+}
+
+// A stream source is fed incrementally, so its declared token count may be
+// anything. Observation sinks pre-size for at most trace::kMaxReserve
+// entries: a session declaring 1e13 tokens submits and streams exactly
+// like one declaring the 12 it is fed.
+TEST(ProtocolTest, HugeDeclaredCountStreamsLikeAFittingOne) {
+  gen::DidacticConfig cfg = small_didactic();
+  cfg.tokens = 12;
+  const std::string fitting = streamified_didactic(cfg);
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::Server server;
+
+  const std::string fitting_reply =
+      server.handle(submit_line("fitting", fitting));
+  const std::string huge_reply =
+      server.handle(submit_line("huge", with_source_count(fitting, 1e13)));
+  EXPECT_TRUE(json_parse(fitting_reply).at("ok").as_bool()) << fitting_reply;
+  ASSERT_TRUE(json_parse(huge_reply).at("ok").as_bool()) << huge_reply;
+
+  for (const char* session : {"fitting", "huge"})
+    ASSERT_TRUE(json_parse(server.handle(feed_line(session, tokens, 0, 6)))
+                    .at("ok")
+                    .as_bool());
+  const std::string fitting_poll =
+      server.handle(R"({"cmd":"poll","session":"fitting"})");
+  const std::string huge_poll =
+      server.handle(R"({"cmd":"poll","session":"huge"})");
+  EXPECT_TRUE(json_parse(fitting_poll).at("ok").as_bool()) << fitting_poll;
+  EXPECT_FALSE(json_parse(fitting_poll).at("instants").items().empty());
+  EXPECT_EQ(fitting_poll, huge_poll);
 }
 
 TEST(ProtocolTest, ErrorsAreReportedInBandNeverThrown) {
