@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/crew.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -87,6 +88,9 @@ EquivalentModel::EquivalentModel(model::DescPtr desc_in,
     : desc_(std::move(desc_in)), group_(std::move(group)) {
   if (desc_ == nullptr)
     throw DescriptionError("EquivalentModel: null description");
+  if (opts.threads < 0)
+    throw Error("EquivalentModel: threads must be >= 0 (1 = serial drain, "
+                "0 = one per hardware thread)");
   const std::size_t n_fns = desc_->functions().size();
 
   groups_.reserve(groups.size());
@@ -221,40 +225,47 @@ void EquivalentModel::install_drain(int threads) {
   // one hook flushing every sub-batch engine (the inline remainder
   // propagates eagerly and needs no flush).
   //
-  // With >= 2 groups and threads > 1 the drain splits into a parallel
-  // compute phase (each engine flushes on its own worker with callbacks
-  // deferred — groups share no frames, and every observer an engine
-  // touches during flush is engine-private) and a serial publish phase
-  // firing the deferred callbacks in group order. Callbacks may resume
-  // writer coroutines that feed an engine again; those feeds land on its
-  // worklist and the hook's `true` return re-invokes it at the same
-  // instant — the per-engine callback sequence, and with it every
-  // per-instance trace, matches the serial drain exactly (docs/DESIGN.md
-  // §11).
+  // With >= 2 groups and threads > 1 a barrier at which at least two
+  // engines have work splits into a parallel compute phase (each engine
+  // flushes on a util::Crew slot with callbacks deferred — groups share no
+  // frames, and every observer an engine touches during flush is
+  // engine-private) and a serial publish phase firing the deferred
+  // callbacks in group order. Callbacks may resume writer coroutines that
+  // feed an engine again; those feeds land on its worklist and the hook's
+  // `true` return re-invokes it at the same instant — the per-engine
+  // callback sequence, and with it every per-instance trace, matches the
+  // serial drain exactly (docs/DESIGN.md §11). A barrier with fewer busy
+  // engines has nothing to overlap and takes the serial drain inline.
+  const auto serial_drain = [this] {
+    bool any = false;
+    for (Group& g : groups_) any = g.engine->flush() || any;
+    return any;
+  };
   const std::size_t drain_threads =
       threads == 1 ? 1 : util::ThreadPool::resolve(threads);
-  if (drain_threads > 1 && groups_.size() > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        std::min(drain_threads, groups_.size()) - 1);  // caller participates
-    drained_.assign(groups_.size(), 0);
-    runtime_->kernel().set_timestep_hook([this] {
-      pool_->parallel_for(groups_.size(), [this](std::size_t g) {
+  if (drain_threads <= 1 || groups_.size() <= 1) {
+    runtime_->kernel().set_timestep_hook(serial_drain);
+    return;
+  }
+  drained_.assign(groups_.size(), 0);
+  // The caller runs slot 0; the crew spawns at most one worker per
+  // further group.
+  crew_ = std::make_unique<util::Crew>(
+      drain_threads - 1, groups_.size(), [this](std::size_t g) {
         drained_[g] = groups_[g].engine->flush_deferred() ? 1 : 0;
       });
-      bool any = false;
-      for (std::size_t g = 0; g < groups_.size(); ++g) {
-        groups_[g].engine->fire_deferred();
-        any = any || drained_[g] != 0;
-      }
-      return any;
-    });
-  } else {
-    runtime_->kernel().set_timestep_hook([this] {
-      bool any = false;
-      for (Group& g : groups_) any = g.engine->flush() || any;
-      return any;
-    });
-  }
+  runtime_->kernel().set_timestep_hook([this, serial_drain] {
+    std::size_t busy = 0;
+    for (const Group& g : groups_) busy += g.engine->has_work() ? 1 : 0;
+    if (busy < 2) return serial_drain();
+    crew_->run();
+    bool any = false;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      groups_[g].engine->fire_deferred();
+      any = any || drained_[g] != 0;
+    }
+    return any;
+  });
 }
 
 std::uint64_t EquivalentModel::instances_computed() const {

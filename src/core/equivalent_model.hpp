@@ -51,11 +51,11 @@
 ///    behind one Boundary<SoloLane>.
 ///
 /// A plain scenario is the zero-group case: runtime + Engine + one
-/// Boundary<SoloLane>, with no timestep hook and no thread pool, so the
+/// Boundary<SoloLane>, with no timestep hook and no drain crew, so the
 /// kernel keeps its hook-less run loop.
 
 namespace maxev::util {
-class ThreadPool;
+class Crew;
 }  // namespace maxev::util
 
 namespace maxev::core {
@@ -106,7 +106,7 @@ class EquivalentModel {
     /// flush on its own worker with callbacks deferred, then a serial
     /// publish phase fires them in group order — bit-identical to the
     /// serial drain. 1 = serial (also used when there are < 2 groups);
-    /// 0 = one per hardware thread.
+    /// 0 = one per hardware thread; negative values are rejected.
     int threads = 1;
     /// Source of the compiled abstractions (derive + fold + pad + freeze +
     /// Program::compile). Null = compile here; a serve::ProgramCache makes
@@ -124,6 +124,7 @@ class EquivalentModel {
   /// hands the same description to several backends without copies).
   /// \throws maxev::DescriptionError when any member's slice is not a
   ///         structural replication of its group's base, or spans overlap.
+  /// \throws maxev::Error when Options::threads is negative.
   EquivalentModel(model::DescPtr desc, std::vector<bool> group);
   EquivalentModel(model::DescPtr desc, std::vector<bool> group, Options opts,
                   std::vector<GroupSpec> groups = {});
@@ -139,7 +140,7 @@ class EquivalentModel {
 
   EquivalentModel(const EquivalentModel&) = delete;
   EquivalentModel& operator=(const EquivalentModel&) = delete;
-  /// Out of line: pool_ holds a forward-declared util::ThreadPool.
+  /// Out of line: crew_ holds a forward-declared util::Crew.
   ~EquivalentModel();
 
   /// Run to completion (or horizon). Same outcome semantics as the baseline.
@@ -226,11 +227,12 @@ class EquivalentModel {
   std::unique_ptr<tdg::Engine> engine_;
   std::optional<Boundary<SoloLane>> boundary_;  ///< reception + emission
   std::unique_ptr<model::ModelRuntime> runtime_;
-  /// Present only when Options::threads enables the parallel drain.
-  std::unique_ptr<util::ThreadPool> pool_;
-  /// Per-group "flush did work" flags of one hook invocation (char, not
+  /// Per-group "flush did work" flags of one parallel drain (char, not
   /// bool: vector<bool> packs bits and adjacent writes would race).
   std::vector<char> drained_;
+  /// Present only when Options::threads enables the parallel drain.
+  /// Declared after everything its workers touch, so it joins them first.
+  std::unique_ptr<util::Crew> crew_;
 };
 
 }  // namespace maxev::core

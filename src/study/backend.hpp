@@ -139,8 +139,9 @@ struct RunConfig {
   /// Worker threads draining a composed run's equal-structure sub-batches
   /// between timestep barriers (core::EquivalentModel::Options::threads;
   /// docs/DESIGN.md §11). 1 = serial drain (the default; also used when a
-  /// model has < 2 sub-batches), 0 = one per hardware thread. Traces and
-  /// reports are bit-identical at any setting.
+  /// model has < 2 sub-batches), 0 = one per hardware thread; negative
+  /// values make instantiate() throw. Traces and reports are bit-identical
+  /// at any setting.
   int threads = 1;
   /// Run guards (sim::RunGuards), applied to every instantiated model's
   /// kernel. 0 / nullptr = unguarded (the guard branch of the kernel loop

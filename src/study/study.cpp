@@ -224,6 +224,8 @@ Study& Study::reference(const std::string& backend_name) {
 Report Study::run(const StudyOptions& opts) const {
   if (opts.repetitions < 1)
     throw Error("Study::run: repetitions must be >= 1");
+  if (opts.threads < 0 || opts.group_threads < 0)
+    throw Error("Study::run: threads and group_threads must be >= 0");
   if (scenarios_.empty()) throw Error("Study::run: no scenarios");
   if (backends_.empty()) throw Error("Study::run: no backends");
 

@@ -43,15 +43,15 @@ struct StudyOptions {
   /// error are identical at every setting (docs/DESIGN.md §11). Each cell
   /// still runs its own single kernel; workload closures shared between
   /// scenarios must be re-entrant when > 1. 1 = serial (default), 0 = one
-  /// per hardware thread. Wall-clock numbers (and hence speedups) remain
-  /// honest per cell but contend for cores; for timing-grade numbers keep
-  /// 1.
+  /// per hardware thread; negative values are rejected. Wall-clock numbers
+  /// (and hence speedups) remain honest per cell but contend for cores; for
+  /// timing-grade numbers keep 1.
   int threads = 1;
   /// Worker threads *inside* each composed cell with sub-batches, draining
   /// its per-group engines between timestep barriers (RunConfig::threads /
   /// core::EquivalentModel::Options::threads). Independent of
   /// `threads`; both levers may be combined. 1 = serial drain (default),
-  /// 0 = one per hardware thread.
+  /// 0 = one per hardware thread; negative values are rejected.
   int group_threads = 1;
   /// Run guards, applied to every cell's kernel (RunConfig / sim::
   /// RunGuards): stop a run after this many dispatched events (0 = no

@@ -113,6 +113,10 @@ class BatchEngine {
   /// scheduled.
   bool flush();
 
+  /// True when a ready front awaits the next flush(), i.e. flush() would
+  /// compute at least one instance.
+  [[nodiscard]] bool has_work() const { return !worklist_.empty(); }
+
   /// flush() with on_known callbacks *captured* instead of fired: computed
   /// values, instant series and usage traces are written as usual (all of
   /// them private to this engine's instances), but the callbacks — which

@@ -23,7 +23,6 @@
 ///   kernel.dispatch      sim::Kernel event dispatch, between pop and resume
 ///   engine.flush         tdg::Engine/BatchEngine deferred-front drains
 ///   trace.append         trace::UsageTrace::push
-///   pool.submit          util::ThreadPool::submit
 ///   pool.parallel_for    util::ThreadPool::parallel_for entry
 ///   adaptive.fastforward study::AdaptiveModel commit, after certification
 ///                        and staging but before any trace is extended

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -73,21 +74,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  MAXEV_FAULT_POINT("pool.submit");
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> fut = packaged->get_future();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopping_)
-      throw Error("ThreadPool::submit: pool is shutting down");
-    queue_.emplace_back([packaged] { (*packaged)(); });
-  }
-  cv_.notify_one();
-  return fut;
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   MAXEV_FAULT_POINT("pool.parallel_for");
@@ -117,9 +103,8 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   cv_.notify_all();
 
-  // The calling thread participates — this is what makes nested
-  // parallel_for (a pool task fanning out again) deadlock-free: the nested
-  // caller can always finish its own batch without any free worker.
+  // The calling thread participates, so the batch finishes even when
+  // every worker is busy elsewhere.
   batch->run();
 
   {

@@ -4,16 +4,15 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 /// \file thread_pool.hpp
-/// The worker pool behind both parallelism levers (docs/DESIGN.md §11):
-/// study::Study runs its scenario×backend cells on one, and
-/// core::EquivalentModel drains its per-group batch engines on one
-/// between kernel timestep barriers.
+/// The worker pool behind the study matrix (docs/DESIGN.md §11):
+/// study::Study measures its scenario×backend cells on one. The per-group
+/// drain inside a composed run uses util::Crew instead, so pool tasks do
+/// not nest a second fan-out on this pool.
 ///
 /// Design constraints, in order:
 ///  * **Determinism is the caller's job, helped by the API.** parallel_for
@@ -22,13 +21,11 @@
 ///    parallel_for stores per-index exceptions and rethrows the
 ///    lowest-index one, giving a deterministic failure regardless of
 ///    completion order.
-///  * **Reentrancy without deadlock.** The calling thread participates in
-///    its own parallel_for, so a task that itself calls parallel_for can
-///    always finish its batch single-handedly — nested fan-out (a study
-///    cell whose composed model drains groups in parallel) cannot starve
-///    the pool.
+///  * **The caller works too.** The calling thread claims indices from its
+///    own parallel_for, so a batch always finishes, even one issued from
+///    inside a pool task with every worker busy.
 ///  * **No work, no wakeups.** Workers sleep on a condition variable;
-///    an idle pool costs nothing between timestep barriers.
+///    an idle pool costs nothing.
 
 namespace maxev::util {
 
@@ -39,8 +36,7 @@ class ThreadPool {
   /// is threads + 1 while a barrier is open.
   explicit ThreadPool(std::size_t threads);
 
-  /// Drains nothing: outstanding submitted tasks still run, then workers
-  /// join. Submitting during destruction throws.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -48,16 +44,11 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
-  /// Enqueue one task; the future carries its exception, if any.
-  /// \throws maxev::Error after shutdown began.
-  std::future<void> submit(std::function<void()> task);
-
   /// Run body(0) .. body(n-1) across the workers *and this thread*,
   /// returning when all n calls finished. Exceptions are captured per
   /// index; the lowest-index one is rethrown (deterministic regardless of
   /// which worker hit it first). Safe to call from inside a pool task —
-  /// the nested caller claims and executes indices itself, so it finishes
-  /// its batch even with every worker busy; nesting cannot deadlock.
+  /// the nested caller claims and executes indices itself.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Map a user-facing thread-count knob to an actual worker count:

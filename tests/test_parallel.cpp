@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/didactic.hpp"
@@ -14,13 +18,15 @@
 #include "study/study.hpp"
 #include "trace/instants.hpp"
 #include "trace/usage.hpp"
+#include "util/crew.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
-/// The threading layer (docs/DESIGN.md §11): util::ThreadPool semantics,
-/// and the determinism contract of both parallelism levers — a
-/// thread-parallel study matrix and parallel per-group batch drains must be
-/// bit-identical to their serial counterparts, run after run.
+/// The threading layer (docs/DESIGN.md §11): util::ThreadPool and
+/// util::Crew semantics, and the determinism contract of both parallelism
+/// levers — a thread-parallel study matrix and parallel per-group batch
+/// drains must be bit-identical to their serial counterparts, run after
+/// run.
 
 namespace maxev {
 namespace {
@@ -104,31 +110,86 @@ TEST(ThreadPoolTest, NestedParallelForCompletes) {
   EXPECT_EQ(inner.load(), 64);
 }
 
-TEST(ThreadPoolTest, SubmitRunsAndPropagatesExceptions) {
-  util::ThreadPool pool(2);
-  auto ok = pool.submit([] {});
-  auto bad = pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsOutstandingTasks) {
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  {
-    util::ThreadPool pool(2);
-    for (int i = 0; i < 16; ++i)
-      futures.push_back(pool.submit([&] { ran.fetch_add(1); }));
-    // Destructor joins: every submitted task ran before it returns.
-  }
-  EXPECT_EQ(ran.load(), 16);
-  for (auto& f : futures) EXPECT_NO_THROW(f.get());
-}
-
 TEST(ThreadPoolTest, ResolveMapsKnobToWorkerCount) {
   EXPECT_EQ(util::ThreadPool::resolve(1), 1u);
   EXPECT_EQ(util::ThreadPool::resolve(7), 7u);
   EXPECT_GE(util::ThreadPool::resolve(0), 1u);  // 0 = hardware concurrency
+}
+
+// ------------------------------------------------------------------- Crew
+
+TEST(CrewTest, EveryIndexRunsOncePerEpoch) {
+  // Plain (non-atomic) counters: each index is written by one slot per
+  // epoch and read here after run() returns, so the epoch barrier itself
+  // must order the accesses (TSan checks that it does).
+  constexpr int kEpochs = 10'000;
+  for (const std::size_t workers : {1u, 2u, 3u}) {
+    for (const std::size_t n : {2u, 3u, 5u}) {
+      std::vector<int> hits(n, 0);
+      util::Crew crew(workers, n, [&](std::size_t i) { ++hits[i]; });
+      EXPECT_EQ(crew.worker_count(), std::min(workers, n - 1));
+      int wrong = 0;
+      for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        crew.run();
+        for (std::size_t i = 0; i < n; ++i) wrong += hits[i] != epoch;
+      }
+      EXPECT_EQ(wrong, 0) << "workers=" << workers << " n=" << n;
+    }
+  }
+}
+
+TEST(CrewTest, LowestIndexExceptionWinsAndEveryIndexRuns) {
+  // workers = 2, n = 5: slot 0 runs {0, 3}, slot 1 {1, 4}, slot 2 {2}; the
+  // throwing indices all sit on worker threads.
+  std::vector<int> hits(5, 0);
+  bool fail = true;  // written between epochs only
+  util::Crew crew(2, 5, [&](std::size_t i) {
+    ++hits[i];
+    if (fail && (i == 1 || i == 2 || i == 4))
+      throw std::runtime_error("idx " + std::to_string(i));
+  });
+  for (int round = 0; round < 20; ++round) {
+    try {
+      crew.run();
+      FAIL() << "run swallowed the exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "idx 1");
+    }
+  }
+  for (const int h : hits) EXPECT_EQ(h, 20);
+  // The next epoch runs normally.
+  fail = false;
+  EXPECT_NO_THROW(crew.run());
+  for (const int h : hits) EXPECT_EQ(h, 21);
+}
+
+TEST(CrewTest, SleepingWorkersAndCallerWake) {
+  // Gaps between epochs outlast the spin window, so workers are asleep at
+  // every run(); slow worker indices put the caller to sleep as well.
+  std::vector<int> hits(3, 0);
+  util::Crew crew(2, 3, [&](std::size_t i) {
+    if (i != 0) std::this_thread::sleep_for(std::chrono::microseconds(500));
+    ++hits[i];
+  });
+  for (int epoch = 1; epoch <= 20; ++epoch) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    crew.run();
+    for (const int h : hits) EXPECT_EQ(h, epoch);
+  }
+}
+
+TEST(CrewTest, DestructionJoinsWithoutHanging) {
+  for (int round = 0; round < 50; ++round) {
+    // Never run: the workers are still in their first sleep.
+    { util::Crew idle(3, 4, [](std::size_t) {}); }
+    // Destroyed right after an epoch: the workers are still spinning.
+    std::atomic<int> calls{0};
+    {
+      util::Crew crew(3, 4, [&](std::size_t) { calls.fetch_add(1); });
+      crew.run();
+    }
+    EXPECT_EQ(calls.load(), 4);
+  }
 }
 
 // ------------------------------------------------- determinism: the matrix
@@ -223,9 +284,15 @@ TEST(ParallelStudyTest, OptionErrorsIdenticalAtAnyThreadCount) {
     opts.repetitions = -1;  // invalid: must throw identically at any setting
     EXPECT_THROW((void)st.run(opts), Error) << "threads=" << threads;
     opts.repetitions = 1;
+    opts.group_threads = -1;  // only 1 and 0 have a meaning below 2
+    EXPECT_THROW((void)st.run(opts), Error) << "threads=" << threads;
+    opts.group_threads = threads;
     EXPECT_TRUE(st.run(opts).cells[0].metrics.completed)
         << "threads=" << threads;
   }
+  StudyOptions negative;
+  negative.threads = -1;
+  EXPECT_THROW((void)st.run(negative), Error);
 }
 
 // ------------------------------------- determinism: per-group batch drains
@@ -334,11 +401,90 @@ TEST(ParallelDrainTest, SingleGroupFallsBackToSerialDrain) {
   expect_parallel_drain_matches_serial(homo, 8);
 }
 
+/// source -> work -> sink, where work's load query fails at iteration
+/// \p throw_at (never when it is out of range), recording the thread it
+/// failed on in \p thrower.
+model::DescPtr load_chain(std::uint64_t throw_at, std::int64_t ops,
+                          std::atomic<std::thread::id>* thrower) {
+  model::ArchitectureDesc d;
+  const auto p = d.add_resource("P", model::ResourcePolicy::kConcurrent, 1e9);
+  const auto in = d.add_rendezvous("IN");
+  const auto out = d.add_rendezvous("OUT");
+  const auto f = d.add_function("work", p);
+  d.fn_read(f, in);
+  d.fn_execute(f, [throw_at, ops, thrower](const model::TokenAttrs&,
+                                           std::uint64_t k) -> std::int64_t {
+    if (k != throw_at) return ops;
+    thrower->store(std::this_thread::get_id());
+    throw std::runtime_error("load failed at k = " + std::to_string(k));
+  });
+  d.fn_write(f, out);
+  d.add_source(
+      "src", in, 20,
+      [](std::uint64_t k) {
+        return TimePoint::at_ps(static_cast<std::int64_t>(k) * 10'000);
+      },
+      [](std::uint64_t) { return model::TokenAttrs{}; });
+  d.add_sink("sink", out);
+  d.validate();
+  return model::share(std::move(d));
+}
+
+TEST(ParallelDrainTest, ExceptionCrossesTheDrainIdenticallyAtAnyThreadCount) {
+  // Two sub-batches fed in lock-step, so their barriers are busy together
+  // and the parallel drain runs them on separate slots; one group's load
+  // closure throws mid-run.
+  std::atomic<std::thread::id> thrower;
+  const auto bad = load_chain(7, 1000, &thrower);
+  const auto good = load_chain(std::numeric_limits<std::uint64_t>::max(),
+                               2000, &thrower);
+  std::vector<Scenario> parts;
+  parts.emplace_back("g0", good);
+  parts.emplace_back("b0", bad);
+  parts.emplace_back("g1", good);
+  parts.emplace_back("b1", bad);
+  const Scenario mixed = study::compose("throw22", parts);
+  ASSERT_EQ(mixed.batch_groups().size(), 2u);
+
+  std::vector<std::string> messages;
+  for (const int threads : {1, 2, 8}) {
+    RunConfig rc;
+    rc.threads = threads;
+    auto model = Backend::equivalent().instantiate(mixed, rc);
+    try {
+      (void)model->run();
+      ADD_FAILURE() << "threads=" << threads << ": run did not throw";
+    } catch (const std::exception& e) {
+      messages.emplace_back(e.what());
+    }
+    // The failing group is group 1: with a crew it drains on a worker.
+    EXPECT_EQ(thrower.load() == std::this_thread::get_id(), threads == 1)
+        << "threads=" << threads;
+    model.reset();  // destructs cleanly after the throw
+  }
+  ASSERT_EQ(messages.size(), 3u);
+  EXPECT_NE(messages[0].find("load failed at k = 7"), std::string::npos)
+      << messages[0];
+  EXPECT_EQ(messages[1], messages[0]);
+  EXPECT_EQ(messages[2], messages[0]);
+}
+
+TEST(ParallelDrainTest, NegativeThreadsRejected) {
+  // Only 1 (serial) and 0 (one per hardware thread) are defined below 2;
+  // rejected with and without sub-batches.
+  const study::Study st = matrix_study();
+  RunConfig rc;
+  rc.threads = -1;
+  for (const Scenario& s : st.scenarios())
+    EXPECT_THROW((void)Backend::equivalent().instantiate(s, rc), Error)
+        << s.name();
+}
+
 // ------------------------------------------------- both levers stacked
 
 TEST(ParallelStudyTest, MatrixAndGroupThreadsCompose) {
   // threads (cells) on top of group_threads (drains inside each composed
-  // cell): the nested fan-out exercises ThreadPool reentrancy on real
+  // cell): every pool task builds and runs its own drain crew on real
   // work, and the report must still match the all-serial bytes.
   study::Study st;
   st.add(lte_4p4());
