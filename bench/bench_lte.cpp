@@ -10,9 +10,10 @@
 ///
 /// A second section scales the case study to a multi-instance workload:
 /// 8 identical receivers (one shared description) in ONE kernel, comparing
-/// the composed baseline, the batched equivalent model (tdg::BatchEngine,
-/// docs/DESIGN.md §9) and the isolated merged-graph equivalent model (the
-/// zero-group core::EquivalentModel over the merged description).
+/// the composed baseline, the batched equivalent model (the base program on
+/// one tdg::Engine at width 8, docs/DESIGN.md §9) and the isolated
+/// merged-graph equivalent model (the zero-group core::EquivalentModel: the
+/// 8-fold merged program on one tdg::Engine at width 1).
 
 #include <algorithm>
 #include <chrono>
@@ -175,10 +176,11 @@ int main() {
   // The heterogeneous case (docs/DESIGN.md §10): two structurally distinct
   // receiver descriptions, four instances each, in ONE kernel. The grouped
   // equivalent model runs each equal-structure quad through its own shared
-  // tdg::Program + BatchEngine; the fully-isolated leg compiles the 8-fold
-  // merged graph. Padding sweeps the per-instance TDG complexity: at pad 0 the composition is kernel-bound (both
-  // legs simulate the same boundary events, so batching is neutral); the
-  // shared-program win appears as per-instance computation grows.
+  // tdg::Program on a width-4 tdg::Engine; the fully-isolated leg compiles
+  // the 8-fold merged graph onto a width-1 engine. Padding sweeps the
+  // per-instance TDG complexity: at pad 0 the composition is kernel-bound
+  // (both legs simulate the same boundary events, so batching is neutral);
+  // the shared-program win appears as per-instance computation grows.
   constexpr std::size_t kPerVariant = 4;
   constexpr std::uint64_t kMixedSymbols = 10000;
   const auto variants =

@@ -38,7 +38,8 @@ int main() {
   std::printf("hand-built graph: %zu nodes (%zu with history), max lag %u\n\n",
               g.node_count(), g.paper_node_count(), g.max_lag());
 
-  // Drive it with a periodic input u(k) = k * 10us and print X(k).
+  // Drive it with a periodic input u(k) = k * 10us and print X(k). The
+  // engine has one instance lane (0); a feed is computed by the next flush.
   tdg::Engine engine(g);
   auto ex = tdg::to_linear_system(
       g, [](model::SourceId, std::uint64_t) { return model::TokenAttrs{}; });
@@ -47,13 +48,14 @@ int main() {
               "k", "xM1", "xM2", "xM3", "xM4", "xM5", "xM6");
   for (std::uint64_t k = 0; k < 8; ++k) {
     const TimePoint u = TimePoint::origin() + 10_us * static_cast<std::int64_t>(k);
-    engine.set_external(g.find("u"), k, u);
+    engine.set_external(0, g.find("u"), k, u);
+    engine.flush();
     mp::Vector uv(1);
     uv[0] = mp::Scalar::from_time(u);
     const auto step = ex.system.step(uv);
     std::printf("%-4llu ", static_cast<unsigned long long>(k));
     for (const char* n : {"xM1", "xM2", "xM3", "xM4", "xM5", "xM6"})
-      std::printf("%-10s ", engine.value(g.find(n), k)->to_string().c_str());
+      std::printf("%-10s ", engine.value(0, g.find(n), k)->to_string().c_str());
     std::printf(" %s\n", TimePoint::at_ps(step.y[0].value()).to_string().c_str());
   }
 

@@ -187,8 +187,8 @@ template <class Lane>
 void Boundary<Lane>::raise_retain_floor() {
   // Frames may be recycled once every consumer of this boundary has moved
   // past them: emission processes (output values, token attrs) and virtual
-  // FIFO readers (read instants). A batch engine's shared arena further
-  // waits for its other lanes.
+  // FIFO readers (read instants). A multi-lane engine's shared arena
+  // further waits for its other lanes.
   std::uint64_t floor = std::numeric_limits<std::uint64_t>::max();
   bool any = false;
   for (const OutputState& st : outputs_) {

@@ -13,7 +13,6 @@
 #include "model/token.hpp"
 #include "sim/event.hpp"
 #include "sim/process.hpp"
-#include "tdg/batch_engine.hpp"
 #include "tdg/engine.hpp"
 
 /// \file boundary.hpp
@@ -38,14 +37,15 @@
 ///    process and virtual reader of this boundary has moved past them;
 ///  * *diagnostics*: the gated offers still parked when a run stalls.
 ///
-/// The engine side is a small lane adapter, so the per-token path is
-/// resolved at compile time: SoloLane drives one eager tdg::Engine (the
-/// whole engine is the lane), BatchLane drives one instance lane of a
-/// deferred tdg::BatchEngine. The only behavioural difference between the
-/// two is resolve_now(): the batch engine computes x_in(k) out of band when
-/// every prerequisite is known (the inline-resume fast path,
-/// docs/DESIGN.md §10); the eager engine has already computed everything
-/// computable by the time a feed returns.
+/// The engine side is a small lane adapter over one instance lane of a
+/// tdg::Engine, so the per-token path is resolved at compile time. Feeds
+/// only enqueue on the engine; the adapters differ in who drains it.
+/// SoloLane is the eager policy: it flushes after every feed, so whatever
+/// is computable is a value() by the time the feed returns (a flush from
+/// inside a running drain is a no-op — that drain computes the feed).
+/// BatchLane leaves the drain to the owner's timestep hook and answers a
+/// gated offer out of band with resolve_now() when every prerequisite of
+/// x_in(k) is known (the inline-resume fast path, docs/DESIGN.md §10).
 ///
 /// A Placement locates the abstraction's ids in the runtime's tables: a
 /// member of a composed sub-batch speaks its base description's ids and is
@@ -54,25 +54,28 @@
 
 namespace maxev::core {
 
-/// Engine-lane adapter over one eager tdg::Engine.
+/// Eager adapter over the single lane of a width-1 tdg::Engine: every
+/// feed is followed by a flush().
 class SoloLane {
  public:
   explicit SoloLane(tdg::Engine& engine) : engine_(&engine) {}
 
   void on_known(tdg::NodeId n,
                 std::function<void(std::uint64_t, TimePoint)> cb) {
-    engine_->on_known(n, std::move(cb));
+    engine_->on_known(0, n, std::move(cb));
   }
   void set_external(tdg::NodeId n, std::uint64_t k, TimePoint t) {
-    engine_->set_external(n, k, t);
+    engine_->set_external(0, n, k, t);
+    engine_->flush();
   }
   void set_attrs(model::SourceId s, std::uint64_t k,
                  const model::TokenAttrs& attrs) {
-    engine_->set_attrs(s, k, attrs);
+    engine_->set_attrs(0, s, k, attrs);
+    engine_->flush();
   }
   [[nodiscard]] std::optional<TimePoint> value(tdg::NodeId n,
                                                std::uint64_t k) const {
-    return engine_->value(n, k);
+    return engine_->value(0, n, k);
   }
   /// Propagation is eager: whatever is computable is already a value().
   [[nodiscard]] std::optional<TimePoint> resolve_now(tdg::NodeId,
@@ -81,18 +84,19 @@ class SoloLane {
   }
   [[nodiscard]] std::optional<model::TokenAttrs> attrs_of(
       model::SourceId s, std::uint64_t k) const {
-    return engine_->attrs_of(s, k);
+    return engine_->attrs_of(0, s, k);
   }
-  void set_retain_floor(std::uint64_t k) { engine_->set_retain_floor(k); }
+  void set_retain_floor(std::uint64_t k) { engine_->set_retain_floor(0, k); }
 
  private:
   tdg::Engine* engine_;
 };
 
-/// Engine-lane adapter over instance \p inst of a tdg::BatchEngine.
+/// Deferred adapter over instance lane \p inst of a tdg::Engine drained by
+/// its owner.
 class BatchLane {
  public:
-  BatchLane(tdg::BatchEngine& engine, std::size_t inst)
+  BatchLane(tdg::Engine& engine, std::size_t inst)
       : engine_(&engine), inst_(inst) {}
 
   void on_known(tdg::NodeId n,
@@ -123,7 +127,7 @@ class BatchLane {
   }
 
  private:
-  tdg::BatchEngine* engine_;
+  tdg::Engine* engine_;
   std::size_t inst_;
 };
 

@@ -161,10 +161,10 @@ void EquivalentModel::build_group(Group& grp, const Options& opts) {
       opts.compiled,
       CompiledKey{grp.base, grp.gflags, opts.fold, opts.pad_nodes});
 
-  tdg::BatchEngine::Options eng_opts;
+  tdg::Engine::Options eng_opts;
   eng_opts.instances.resize(width);
   for (std::size_t i = 0; i < width; ++i) {
-    tdg::BatchEngine::InstanceSinks& sinks = eng_opts.instances[i];
+    tdg::Engine::InstanceSinks& sinks = eng_opts.instances[i];
     sinks.scope = grp.names[i] + "/";
     if (opts.observe) {
       sinks.instant_sink = &runtime_->mutable_instants();
@@ -176,7 +176,7 @@ void EquivalentModel::build_group(Group& grp, const Options& opts) {
                                        ? opts.expected_iterations
                                        : bd.max_source_tokens();
   }
-  grp.engine = std::make_unique<tdg::BatchEngine>(
+  grp.engine = std::make_unique<tdg::Engine>(
       grp.compiled->graph, grp.compiled->program, std::move(eng_opts));
 
   // One boundary per member on its engine lane: the base abstraction's
@@ -198,7 +198,7 @@ void EquivalentModel::build_remainder(const Options& opts) {
     return;
 
   // One TDG derived from the description restricted to the remainder's
-  // functions, evaluated by one inline tdg::Engine. Node and trace names
+  // functions, evaluated by one width-1 tdg::Engine. Node and trace names
   // come from the description itself (instance prefixes included), so the
   // engine's sinks bind directly and no placement shift applies.
   compiled_ = obtain_compiled(
@@ -207,14 +207,14 @@ void EquivalentModel::build_remainder(const Options& opts) {
 
   tdg::Engine::Options eng_opts;
   if (opts.observe) {
-    eng_opts.instant_sink = &runtime_->mutable_instants();
-    eng_opts.usage_sink = &runtime_->mutable_usage();
+    eng_opts.instances[0].instant_sink = &runtime_->mutable_instants();
+    eng_opts.instances[0].usage_sink = &runtime_->mutable_usage();
     eng_opts.expected_iterations = opts.expected_iterations > 0
                                        ? opts.expected_iterations
                                        : desc_->max_source_tokens();
   }
   engine_ = std::make_unique<tdg::Engine>(compiled_->graph, compiled_->program,
-                                          eng_opts);
+                                          std::move(eng_opts));
   boundary_.emplace(*runtime_, *compiled_, SoloLane(*engine_),
                     Boundary<SoloLane>::Placement{});
 }
@@ -222,8 +222,8 @@ void EquivalentModel::build_remainder(const Options& opts) {
 void EquivalentModel::install_drain(int threads) {
   // Iteration fronts drain at timestep boundaries: every instance's feeds
   // of one simulated instant accumulate before one batched propagation —
-  // one hook flushing every sub-batch engine (the inline remainder
-  // propagates eagerly and needs no flush).
+  // one hook flushing every sub-batch engine (the inline remainder's
+  // SoloLane flushes after every feed and needs no hook).
   //
   // With >= 2 groups and threads > 1 a barrier at which at least two
   // engines have work splits into a parallel compute phase (each engine

@@ -9,7 +9,6 @@
 #include "core/compiled.hpp"
 #include "model/baseline.hpp"
 #include "model/desc.hpp"
-#include "tdg/batch_engine.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/engine.hpp"
 #include "tdg/graph.hpp"
@@ -43,12 +42,12 @@
 ///  * zero or more *sub-batches* (GroupSpec): instances of a composed
 ///    description (study::compose) that share one base description. The
 ///    base TDG is compiled once and evaluated for every member by one
-///    tdg::BatchEngine, with one Boundary<BatchLane> per member placed at
+///    tdg::Engine lane each, with one Boundary<BatchLane> per member at
 ///    its merged-table span. Iteration fronts drain at timestep boundaries
 ///    (sim::Kernel::set_timestep_hook), optionally on worker threads;
 ///  * the *inline remainder*: the description's TDG restricted to the
-///    remaining abstracted functions, evaluated by one eager tdg::Engine
-///    behind one Boundary<SoloLane>.
+///    remaining abstracted functions, evaluated by one width-1 tdg::Engine
+///    behind one eager Boundary<SoloLane>.
 ///
 /// A plain scenario is the zero-group case: runtime + Engine + one
 /// Boundary<SoloLane>, with no timestep hook and no drain crew, so the
@@ -115,7 +114,7 @@ class EquivalentModel {
   };
 
   /// Abstract the functions marked in \p group on the inline engine and
-  /// every sub-batch of \p groups on its batch engine. \p group is
+  /// every sub-batch of \p groups on its multi-lane engine. \p group is
   /// description-level; flags inside a sub-batch member's function block
   /// are ignored (the member's GroupSpec::group governs them), and empty
   /// = every function outside the sub-batches. With sub-batches, a
@@ -169,8 +168,8 @@ class EquivalentModel {
   }
   /// @}
 
-  /// Sub-batch \p g's batch engine.
-  [[nodiscard]] const tdg::BatchEngine& engine(std::size_t g) const {
+  /// Sub-batch \p g's engine (one lane per member).
+  [[nodiscard]] const tdg::Engine& engine(std::size_t g) const {
     return *groups_[g].engine;
   }
 
@@ -211,7 +210,7 @@ class EquivalentModel {
     std::vector<std::string> names;
     std::vector<InstanceSpan> spans;
     CompiledPtr compiled;  ///< frozen base graph + program + boundaries
-    std::unique_ptr<tdg::BatchEngine> engine;
+    std::unique_ptr<tdg::Engine> engine;
     /// One boundary per member, on the member's engine lane.
     std::vector<std::unique_ptr<Boundary<BatchLane>>> boundaries;
   };

@@ -546,7 +546,7 @@ std::int64_t AdaptiveModel::node_value_at(tdg::NodeId n, std::uint64_t k,
                                           std::uint64_t frontier,
                                           std::uint32_t period) const {
   if (k < frontier) {
-    const std::optional<mp::Scalar> v = eq_.engine().scalar_value(n, k);
+    const std::optional<mp::Scalar> v = eq_.engine().scalar_value(0, n, k);
     if (!v || v->is_eps())
       throw Error("adaptive: missing value behind the frontier");
     return v->value();
@@ -554,7 +554,7 @@ std::int64_t AdaptiveModel::node_value_at(tdg::NodeId n, std::uint64_t k,
   const std::uint64_t base0 = frontier - period;
   const std::uint64_t k0 = base0 + (k - base0) % period;
   const auto m = static_cast<std::int64_t>((k - k0) / period);
-  const std::optional<mp::Scalar> v = eq_.engine().scalar_value(n, k0);
+  const std::optional<mp::Scalar> v = eq_.engine().scalar_value(0, n, k0);
   if (!v || v->is_eps())
     throw Error("adaptive: missing value behind the frontier");
   return v->value() + lambda_[static_cast<std::size_t>(n)] * m;
@@ -574,7 +574,7 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
   const auto val = [&eng](tdg::NodeId n, std::int64_t k) -> std::int64_t {
     if (k < 0) return 0;
     const std::optional<mp::Scalar> v =
-        eng.scalar_value(n, static_cast<std::uint64_t>(k));
+        eng.scalar_value(0, n, static_cast<std::uint64_t>(k));
     if (!v || v->is_eps())
       throw Refusal{"ε or unretained value in the certification window",
                     kNever};
@@ -582,7 +582,8 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
   };
   const auto attrs_at = [&](model::SourceId s,
                             std::uint64_t k) -> model::TokenAttrs {
-    if (const std::optional<model::TokenAttrs> a = eng.attrs_of(s, k)) return *a;
+    if (const std::optional<model::TokenAttrs> a = eng.attrs_of(0, s, k))
+      return *a;
     const auto& fn = desc.sources()[static_cast<std::size_t>(s)].attrs;
     return fn ? fn(k) : model::TokenAttrs{};
   };
@@ -803,16 +804,13 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
   // the computed instants land exactly on the P-rule (within tolerance).
   const std::uint64_t hist = std::max<std::uint64_t>(g.max_lag(), 1);
   const tdg::Engine::HistoryWindow window = eng.snapshot(f - hist, hist);
-  tdg::Engine::Options vopts;
-  vopts.instant_sink = nullptr;
-  vopts.usage_sink = nullptr;
-  tdg::Engine verify(g, prog, vopts);
+  tdg::Engine verify(g, prog, tdg::Engine::Options{});
   verify.seed_history(window);
   const std::uint64_t verify_frames = std::min<std::uint64_t>(period, count - f);
   const auto n_nodes = static_cast<tdg::NodeId>(g.node_count());
   for (std::uint64_t k = f; k < f + verify_frames; ++k) {
     for (std::size_t s = 0; s < prog.n_sources; ++s) {
-      verify.set_attrs(static_cast<model::SourceId>(s), k,
+      verify.set_attrs(0, static_cast<model::SourceId>(s), k,
                        attrs_at(static_cast<model::SourceId>(s), k - period));
     }
     for (tdg::NodeId n = 0; n < n_nodes; ++n) {
@@ -822,13 +820,14 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
       const std::int64_t predicted =
           val(n, static_cast<std::int64_t>(k - period)) +
           lambda[static_cast<std::size_t>(n)];
-      verify.set_external(n, k, TimePoint::at_ps(predicted));
+      verify.set_external(0, n, k, TimePoint::at_ps(predicted));
     }
   }
+  verify.flush();
   std::int64_t residual = 0;
   for (std::uint64_t k = f; k < f + verify_frames; ++k) {
     for (tdg::NodeId n = 0; n < n_nodes; ++n) {
-      const std::optional<mp::Scalar> got = verify.scalar_value(n, k);
+      const std::optional<mp::Scalar> got = verify.scalar_value(0, n, k);
       if (!got || got->is_eps())
         throw Refusal{"verification engine left an instant undetermined",
                       kNever};

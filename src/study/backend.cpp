@@ -58,7 +58,7 @@ class BaselineModel final : public Model {
 
 /// The paper's method on any scenario: the zero-group model for plain
 /// scenarios and compositions without a shared description, one
-/// tdg::BatchEngine per equal-structure sub-batch plus the inline
+/// multi-lane tdg::Engine per equal-structure sub-batch plus the inline
 /// remainder otherwise — all in one kernel (docs/DESIGN.md §9–§10).
 class EquivalentBackendModel final : public Model {
  public:

@@ -19,10 +19,9 @@
 /// everything about a particular execution — frames, pending counts,
 /// observation sinks — lives in the engine that runs it.
 ///
-/// One Program serves two executors:
-///  * tdg::Engine evaluates it for a single model instance;
-///  * tdg::BatchEngine evaluates it for N composed instances at once,
-///    sharing these tables across the whole batch (docs/DESIGN.md §9).
+/// One executor runs it: tdg::Engine evaluates it for one model instance or
+/// for N composed instances at once, sharing these tables across every
+/// instance lane (docs/DESIGN.md §9).
 
 namespace maxev::tdg {
 

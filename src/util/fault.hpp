@@ -21,7 +21,7 @@
 ///
 /// Fault-point catalog (docs/DESIGN.md §12 keeps the authoritative list):
 ///   kernel.dispatch      sim::Kernel event dispatch, between pop and resume
-///   engine.flush         tdg::Engine/BatchEngine deferred-front drains
+///   engine.flush         tdg::Engine instant-series flushes during drains
 ///   trace.append         trace::UsageTrace::push
 ///   pool.parallel_for    util::ThreadPool::parallel_for entry
 ///   adaptive.fastforward study::AdaptiveModel commit, after certification

@@ -12,17 +12,18 @@
 #include "merged_reference.hpp"
 #include "model/baseline.hpp"
 #include "study/study.hpp"
-#include "tdg/batch_engine.hpp"
 #include "tdg/builder.hpp"
+#include "tdg/engine.hpp"
 #include "util/error.hpp"
 
 /// The batched multi-instance path (docs/DESIGN.md §9): composed scenarios
-/// whose instances share one description run through tdg::BatchEngine —
-/// one compiled program, one shared frame arena, iteration fronts drained
-/// at timestep boundaries. The property under test is the paper's accuracy
-/// claim lifted to the batch: every instance's traces stay bit-identical
-/// to its solo run (and to the isolated merged-graph path), across random
-/// architectures, multi-rate producer bundles, and the LTE case study.
+/// whose instances share one description run as the lanes of one
+/// tdg::Engine — one compiled program, one shared frame arena, iteration
+/// fronts drained at timestep boundaries. The property under test is the
+/// paper's accuracy claim lifted to the batch: every instance's traces stay
+/// bit-identical to its solo run, to the isolated merged-graph path and to
+/// the event-driven baseline, across random architectures, multi-rate
+/// producer bundles, and the LTE case study.
 
 namespace maxev::study {
 namespace {
@@ -66,7 +67,8 @@ core::EquivalentModel::GroupSpec clone_spec(
 
 /// Every instance of the composed run must match the solo run of the
 /// shared description bit for bit (instants in order; usage as sorted
-/// multisets, the suite-wide usage comparison convention).
+/// multisets, the suite-wide usage comparison convention), and the whole
+/// run must match the composed baseline.
 void expect_clones_match_solo(const Scenario& composed,
                               const model::DescPtr& desc,
                               std::vector<bool> group = {},
@@ -74,6 +76,7 @@ void expect_clones_match_solo(const Scenario& composed,
   RunConfig rc;
   auto whole = Backend::equivalent().instantiate(composed, rc);
   ASSERT_TRUE(whole->run().completed) << context;
+  expect_matches_baseline(composed, *whole, context);
 
   Scenario solo_scenario("solo", desc);
   if (!group.empty()) solo_scenario.with_group(std::move(group));
@@ -102,7 +105,8 @@ void expect_clones_match_solo(const Scenario& composed,
 
 /// The batched (drained by \p threads workers) and the isolated
 /// (merged-graph reference) composed runs must produce identical full
-/// trace sets and identical completion times.
+/// trace sets and identical completion times, and the batched run must
+/// match the composed baseline.
 void expect_batched_matches_isolated(const Scenario& composed,
                                      const char* context = "",
                                      int threads = 1) {
@@ -112,6 +116,7 @@ void expect_batched_matches_isolated(const Scenario& composed,
   auto isolated = merged_reference(composed);
   ASSERT_TRUE(batched->run().completed) << context;
   ASSERT_TRUE(isolated->run().completed) << context;
+  expect_matches_baseline(composed, *batched, context);
 
   EXPECT_EQ(trace::compare_instants(isolated->instants(), batched->instants()),
             std::nullopt)
@@ -445,7 +450,7 @@ TEST(HeterogeneousBatchTest, MixedDidacticMatchesSolosAndIsolated) {
 
 TEST(HeterogeneousBatchTest, SubBatchesPlusRemainderMatchIsolated) {
   // Two sub-batches AND a genuine remainder (a singleton, which runs on
-  // the merged inline engine) in one kernel.
+  // the merged width-1 engine) in one kernel.
   gen::DidacticConfig ca;
   ca.tokens = 35;
   gen::DidacticConfig cb;
@@ -630,8 +635,8 @@ TEST(HeterogeneousBatchTest, PerGroupPadRunsEqualWorkAcrossLegs) {
 }
 
 // The inline-resume fast path: gated inputs whose completion is already
-// computable are answered synchronously at the offer (BatchEngine::
-// resolve_now), so the batched run schedules no more kernel events than
+// computable are answered synchronously at the offer (Engine::resolve_now),
+// so the batched run schedules no more kernel events than
 // the merged path, which always answers inline — the per-token queued-
 // resume gap of the deferred engine is closed.
 TEST(HeterogeneousBatchTest, InlineResumeClosesTheKernelEventGap) {
@@ -652,8 +657,8 @@ TEST(HeterogeneousBatchTest, InlineResumeClosesTheKernelEventGap) {
 
 // Full uniform fronts drain as one mp::Scalar loop over the contiguous lane
 // (docs/DESIGN.md §14). The widths walk the lane loop (2, 4, 5, 7, 8) and
-// width 1, which never forms a full front and computes per instance;
-// every width must reproduce the solo tdg::Engine and the merged graph.
+// width 1, whose every front is full; every width must reproduce the solo
+// run, the merged graph and the baseline.
 TEST(VectorDrainTest, LaneWidthInvariance) {
   gen::DidacticConfig cfg;
   cfg.tokens = 40;
@@ -707,7 +712,7 @@ TEST(VectorDrainTest, ComposesWithGroupThreads) {
 
 // A full uniform front computes every lane from its own feeds (clone
 // compositions feed identical lanes, so only a direct engine shows a lane
-// mix-up). One lane's ⊗ overflowing throws the solo engine's
+// mix-up). One lane's ⊗ overflowing throws the per-lane path's
 // OverflowError and publishes no lane of the front: no instance may
 // observe a value its batch siblings don't have.
 TEST(BatchEngineTest, UniformFrontOverflowPublishesNoLane) {
@@ -718,11 +723,11 @@ TEST(BatchEngineTest, UniformFrontOverflowPublishesNoLane) {
   tdg::Graph g = b.take();
   g.freeze();
 
-  tdg::BatchEngine::Options opts;
+  tdg::Engine::Options opts;
   opts.instances.resize(4);  // full-width uniform fronts
 
   // Control: distinct finite feeds, each lane computed from its own.
-  tdg::BatchEngine ok(g, opts);
+  tdg::Engine ok(g, opts);
   for (std::size_t inst = 0; inst < 4; ++inst)
     ok.set_external(inst, 0, 0,
                     TimePoint::at_ps(10 * static_cast<std::int64_t>(inst)));
@@ -734,7 +739,7 @@ TEST(BatchEngineTest, UniformFrontOverflowPublishesNoLane) {
   }
   EXPECT_EQ(ok.instances_computed(), 8u);
 
-  tdg::BatchEngine eng(g, opts);
+  tdg::Engine eng(g, opts);
   for (std::size_t inst = 0; inst < 4; ++inst) {
     const std::int64_t ps =
         inst == 2 ? std::numeric_limits<std::int64_t>::max() - 10
@@ -771,9 +776,9 @@ TEST(BatchEngineTest, DrainRecoversAfterThrowingGuard) {
       });
   tdg::Graph g = b.take();
   g.freeze();
-  tdg::BatchEngine::Options opts;
+  tdg::Engine::Options opts;
   opts.instances.resize(1);
-  tdg::BatchEngine eng(g, opts);
+  tdg::Engine eng(g, opts);
   const tdg::NodeId u = g.find("u"), a = g.find("a");
   eng.set_attrs(0, 0, 0, {});
   eng.set_external(0, u, 0, TimePoint::at_ps(0));
@@ -783,6 +788,38 @@ TEST(BatchEngineTest, DrainRecoversAfterThrowingGuard) {
   eng.set_external(0, u, 1, TimePoint::at_ps(100));
   EXPECT_TRUE(eng.flush());
   EXPECT_EQ(eng.value(0, a, 1), TimePoint::at_ps(5100));
+  EXPECT_EQ(eng.instances_computed(), 1u);
+}
+
+/// An instance index at or past the width names no lane: feeds and retain
+/// floors reject it, queries report nothing, and no other lane is touched.
+TEST(EngineLaneTest, OutOfRangeInstanceRejected) {
+  tdg::GraphBuilder b;
+  b.input("u").instant("a");
+  b.arc("u", "a").fixed(Duration::ns(1));
+  tdg::Graph g = b.take();
+  g.freeze();
+  tdg::Engine::Options opts;
+  opts.instances.resize(2);
+  tdg::Engine eng(g, opts);
+  const tdg::NodeId u = g.find("u"), a = g.find("a");
+
+  EXPECT_THROW(eng.set_external(2, u, 0, TimePoint::at_ps(0)), Error);
+  EXPECT_THROW(eng.set_attrs(2, 0, 0, {}), Error);
+  EXPECT_THROW(eng.set_retain_floor(2, 5), Error);
+  EXPECT_THROW(eng.on_known(2, a, [](std::uint64_t, TimePoint) {}), Error);
+  EXPECT_FALSE(eng.has_work());
+
+  eng.set_attrs(1, 0, 0, {});
+  eng.set_external(1, u, 0, TimePoint::at_ps(7));
+  EXPECT_TRUE(eng.flush());
+  EXPECT_EQ(eng.value(1, a, 0), TimePoint::at_ps(1007));
+  EXPECT_EQ(eng.value(0, a, 0), std::nullopt);  // lane 0 was never fed
+  EXPECT_EQ(eng.value(2, a, 0), std::nullopt);
+  EXPECT_EQ(eng.scalar_value(2, a, 0), std::nullopt);
+  EXPECT_EQ(eng.resolve_now(2, a, 0), std::nullopt);
+  EXPECT_FALSE(eng.attrs_of(2, 0, 0).has_value());
+  EXPECT_TRUE(eng.attrs_of(1, 0, 0).has_value());
   EXPECT_EQ(eng.instances_computed(), 1u);
 }
 

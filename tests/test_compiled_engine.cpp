@@ -41,8 +41,8 @@ void replay(const model::ArchitectureDesc& desc, bool attrs_first, bool prune,
   g.freeze();
 
   Engine::Options opts;
-  opts.instant_sink = &rr.instants;
-  opts.usage_sink = &rr.usage;
+  opts.instances[0].instant_sink = &rr.instants;
+  opts.instances[0].usage_sink = &rr.usage;
   opts.expected_iterations = tokens;
   Engine eng(g, opts);
 
@@ -79,14 +79,18 @@ void replay(const model::ArchitectureDesc& desc, bool attrs_first, bool prune,
   for (std::uint64_t k = 0; k < tokens; ++k) {
     const auto feed_attrs = [&] {
       for (model::SourceId s = 0;
-           s < static_cast<model::SourceId>(desc.sources().size()); ++s)
-        eng.set_attrs(s, k, desc.sources()[static_cast<std::size_t>(s)].attrs(k));
+           s < static_cast<model::SourceId>(desc.sources().size()); ++s) {
+        eng.set_attrs(0, s, k,
+                      desc.sources()[static_cast<std::size_t>(s)].attrs(k));
+        eng.flush();
+      }
     };
     const auto feed_externals = [&] {
       for (const Feed& f : feeds) {
         eng.set_external(
-            f.node, k,
+            0, f.node, k,
             TimePoint::at_ps(static_cast<std::int64_t>(k) * f.period_ps));
+        eng.flush();
       }
     };
     if (attrs_first) {
@@ -100,15 +104,16 @@ void replay(const model::ArchitectureDesc& desc, bool attrs_first, bool prune,
     // Every output offer is now determined; feed back synthetic "actual"
     // completions (a slow environment) so history arcs stay exercised.
     for (const Out& o : outs) {
-      const auto y = eng.value(o.offer, k);
+      const auto y = eng.value(0, o.offer, k);
       ASSERT_TRUE(y.has_value()) << "offer not computed at k=" << k;
       rr.offers.push_back(y->count());
       TimePoint actual_t = *y + Duration::ns(5 + static_cast<std::int64_t>(k % 7));
-      if (o.actual != kNoNode) eng.set_external(o.actual, k, actual_t);
+      if (o.actual != kNoNode) eng.set_external(0, o.actual, k, actual_t);
       if (o.xr_actual != kNoNode)
-        eng.set_external(o.xr_actual, k, actual_t + Duration::ns(3));
+        eng.set_external(0, o.xr_actual, k, actual_t + Duration::ns(3));
+      eng.flush();
     }
-    if (prune) eng.set_retain_floor(k + 1);
+    if (prune) eng.set_retain_floor(0, k + 1);
   }
   rr.computed = eng.instances_computed();
   rr.arc_terms = eng.arc_terms_evaluated();

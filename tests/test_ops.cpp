@@ -303,14 +303,15 @@ void expect_same_costs(const study::Model& ref, const study::Model& got,
       << ctx;
 }
 
-/// The batched run at threads 1/2/8 against the merged-graph run (results)
-/// and against the serial batched run (costs).
+/// The batched run at threads 1/2/8 against the merged-graph run (results),
+/// the serial batched run (costs) and the baseline (instants and usage).
 void expect_batched_matches_merged(const Scenario& scenario,
                                    const std::string& ctx) {
   const auto merged = merged_reference(scenario);
   EXPECT_TRUE(merged->run().completed);
   const auto serial = run_with(scenario, 1);
   expect_same_results(*merged, *serial, ctx + " t1");
+  expect_matches_baseline(scenario, *serial, ctx + " t1");
   for (const int threads : {2, 8}) {
     const std::string tctx = ctx + " t" + std::to_string(threads);
     const auto got = run_with(scenario, threads);

@@ -98,6 +98,27 @@ TEST(GraphTest, MutationAfterFreezeRejected) {
 // Engine on hand-built graphs
 // ---------------------------------------------------------------------------
 
+// Single-instance runs drive lane 0 and drain after every feed — the eager
+// policy of core::SoloLane.
+void feed(Engine& e, NodeId n, std::uint64_t k, TimePoint t) {
+  e.set_external(0, n, k, t);
+  e.flush();
+}
+
+void feed_attrs(Engine& e, model::SourceId s, std::uint64_t k,
+                const model::TokenAttrs& attrs) {
+  e.set_attrs(0, s, k, attrs);
+  e.flush();
+}
+
+Engine::Options sinks(trace::InstantTraceSet* instants,
+                      trace::UsageTraceSet* usage) {
+  Engine::Options opts;
+  opts.instances[0].instant_sink = instants;
+  opts.instances[0].usage_sink = usage;
+  return opts;
+}
+
 /// y(k) = max(u(k) + 5ns, y(k-1) + 2ns)  [pre-history origin]
 Graph feedback_graph() {
   GraphBuilder b;
@@ -114,12 +135,12 @@ TEST(EngineTest, ComputesRecurrenceWithHistory) {
   Graph g = feedback_graph();
   Engine e(g);
   const NodeId u = g.find("u"), y = g.find("y");
-  e.set_external(u, 0, at(0));
-  EXPECT_EQ(e.value(y, 0), at(5000));  // max(0+5ns, origin+2ns)
-  e.set_external(u, 1, at(1000));
-  EXPECT_EQ(e.value(y, 1), at(7000));  // max(1ns+5ns, 5ns+2ns)
-  e.set_external(u, 2, at(100000));
-  EXPECT_EQ(e.value(y, 2), at(105000));
+  feed(e, u, 0, at(0));
+  EXPECT_EQ(e.value(0, y, 0), at(5000));  // max(0+5ns, origin+2ns)
+  feed(e, u, 1, at(1000));
+  EXPECT_EQ(e.value(0, y, 1), at(7000));  // max(1ns+5ns, 5ns+2ns)
+  feed(e, u, 2, at(100000));
+  EXPECT_EQ(e.value(0, y, 2), at(105000));
   EXPECT_EQ(e.instances_computed(), 3u);
 }
 
@@ -133,8 +154,8 @@ TEST(EngineTest, PrehistoryIsOrigin) {
   Graph g = b.take();
   g.freeze();
   Engine e(g);
-  e.set_external(g.find("u"), 0, at(0));
-  EXPECT_EQ(e.value(g.find("a"), 0), at(3000));
+  feed(e, g.find("u"), 0, at(0));
+  EXPECT_EQ(e.value(0, g.find("a"), 0), at(3000));
 }
 
 TEST(EngineTest, OutOfOrderInputsBlockUntilReady) {
@@ -147,10 +168,10 @@ TEST(EngineTest, OutOfOrderInputsBlockUntilReady) {
   g.freeze();
   Engine e(g);
   const NodeId j = g.find("j");
-  e.set_external(g.find("u1"), 0, at(100));
-  EXPECT_FALSE(e.value(j, 0).has_value());  // u2 still unknown
-  e.set_external(g.find("u2"), 0, at(50));
-  EXPECT_EQ(e.value(j, 0), at(2050));  // max(100+1000, 50+2000)
+  feed(e, g.find("u1"), 0, at(100));
+  EXPECT_FALSE(e.value(0, j, 0).has_value());  // u2 still unknown
+  feed(e, g.find("u2"), 0, at(50));
+  EXPECT_EQ(e.value(0, j, 0), at(2050));  // max(100+1000, 50+2000)
 }
 
 TEST(EngineTest, PipelinedIterations) {
@@ -164,14 +185,14 @@ TEST(EngineTest, PipelinedIterations) {
   g.freeze();
   Engine e(g);
   const NodeId a = g.find("a");
-  e.set_external(g.find("u"), 0, at(0));
-  e.set_external(g.find("u"), 1, at(10));
-  EXPECT_EQ(e.value(a, 0), at(1000));
-  EXPECT_EQ(e.value(a, 1), at(1010));  // lag-2 still pre-history
-  e.set_external(g.find("u"), 2, at(20));
-  EXPECT_FALSE(e.value(a, 2).has_value());  // needs tail(0) = actual(0)
-  e.set_external(g.find("act"), 0, at(500000));
-  EXPECT_EQ(e.value(a, 2), at(500000));
+  feed(e, g.find("u"), 0, at(0));
+  feed(e, g.find("u"), 1, at(10));
+  EXPECT_EQ(e.value(0, a, 0), at(1000));
+  EXPECT_EQ(e.value(0, a, 1), at(1010));  // lag-2 still pre-history
+  feed(e, g.find("u"), 2, at(20));
+  EXPECT_FALSE(e.value(0, a, 2).has_value());  // needs tail(0) = actual(0)
+  feed(e, g.find("act"), 0, at(500000));
+  EXPECT_EQ(e.value(0, a, 2), at(500000));
 }
 
 TEST(EngineTest, GuardedArcContributesNothingWhenFalse) {
@@ -185,14 +206,14 @@ TEST(EngineTest, GuardedArcContributesNothingWhenFalse) {
   Engine e(g);
   model::TokenAttrs small;
   small.size = 1;
-  e.set_attrs(0, 0, small);
-  e.set_external(g.find("u"), 0, at(0));
-  EXPECT_EQ(e.value(g.find("a"), 0), at(10'000));
+  feed_attrs(e, 0, 0, small);
+  feed(e, g.find("u"), 0, at(0));
+  EXPECT_EQ(e.value(0, g.find("a"), 0), at(10'000));
   model::TokenAttrs big;
   big.size = 100;
-  e.set_attrs(0, 1, big);
-  e.set_external(g.find("u"), 1, at(0));
-  EXPECT_EQ(e.value(g.find("a"), 1), at(1'000'000));
+  feed_attrs(e, 0, 1, big);
+  feed(e, g.find("u"), 1, at(0));
+  EXPECT_EQ(e.value(0, g.find("a"), 1), at(1'000'000));
 }
 
 TEST(EngineTest, AttrsGateDataDependentWeights) {
@@ -204,13 +225,13 @@ TEST(EngineTest, AttrsGateDataDependentWeights) {
   Graph g = b.take();
   g.freeze();
   Engine e(g);
-  e.set_external(g.find("u"), 0, at(0));
+  feed(e, g.find("u"), 0, at(0));
   // Attrs not yet known: the instant must not be computed.
-  EXPECT_FALSE(e.value(g.find("a"), 0).has_value());
+  EXPECT_FALSE(e.value(0, g.find("a"), 0).has_value());
   model::TokenAttrs attrs;
   attrs.size = 42;
-  e.set_attrs(0, 0, attrs);
-  EXPECT_EQ(e.value(g.find("a"), 0), at(42));
+  feed_attrs(e, 0, 0, attrs);
+  EXPECT_EQ(e.value(0, g.find("a"), 0), at(42));
 }
 
 TEST(EngineTest, ObservationEmittedAtComputedPositions) {
@@ -224,9 +245,9 @@ TEST(EngineTest, ObservationEmittedAtComputedPositions) {
       .exec(0, model::constant_ops(7), "F.e0");
   Graph g = b.take();
   g.freeze();
-  Engine e(g, Engine::Options{nullptr, &usage});
-  e.set_attrs(0, 0, {});
-  e.set_external(g.find("u"), 0, at(100));
+  Engine e(g, sinks(nullptr, &usage));
+  feed_attrs(e, 0, 0, {});
+  feed(e, g.find("u"), 0, at(100));
   const trace::UsageTrace* p = usage.find("P");
   ASSERT_NE(p, nullptr);
   ASSERT_EQ(p->size(), 1u);
@@ -244,9 +265,9 @@ TEST(EngineTest, InstantRecordingInIterationOrder) {
   b.arc("u", "a").fixed(1_ns);
   Graph g = b.take();
   g.freeze();
-  Engine e(g, Engine::Options{&instants, nullptr});
+  Engine e(g, sinks(&instants, nullptr));
   for (int k = 0; k < 5; ++k)
-    e.set_external(g.find("u"), static_cast<std::uint64_t>(k), at(k * 100));
+    feed(e, g.find("u"), static_cast<std::uint64_t>(k), at(k * 100));
   const trace::InstantSeries* s = instants.find("chanA");
   ASSERT_NE(s, nullptr);
   ASSERT_EQ(s->size(), 5u);
@@ -257,37 +278,37 @@ TEST(EngineTest, InstantRecordingInIterationOrder) {
 TEST(EngineTest, DoubleExternalFeedThrows) {
   Graph g = feedback_graph();
   Engine e(g);
-  e.set_external(g.find("u"), 0, at(0));
-  EXPECT_THROW(e.set_external(g.find("u"), 0, at(1)), Error);
+  feed(e, g.find("u"), 0, at(0));
+  EXPECT_THROW(feed(e, g.find("u"), 0, at(1)), Error);
 }
 
 TEST(EngineTest, SetExternalOnComputedNodeThrows) {
   Graph g = feedback_graph();
   Engine e(g);
-  EXPECT_THROW(e.set_external(g.find("y"), 0, at(0)), Error);
+  EXPECT_THROW(feed(e, g.find("y"), 0, at(0)), Error);
 }
 
 TEST(EngineTest, RetainFloorEnablesPruning) {
   Graph g = feedback_graph();
   Engine e(g);
   for (std::uint64_t k = 0; k < 100; ++k) {
-    e.set_external(g.find("u"), k, at(static_cast<std::int64_t>(k) * 10));
-    e.set_retain_floor(k + 1);
+    feed(e, g.find("u"), k, at(static_cast<std::int64_t>(k) * 10));
+    e.set_retain_floor(0, k + 1);
   }
   // Old frames are pruned: querying them reports unknown, and feeding an
   // already-pruned iteration is an error.
-  EXPECT_FALSE(e.value(g.find("y"), 0).has_value());
-  EXPECT_TRUE(e.value(g.find("y"), 99).has_value());
+  EXPECT_FALSE(e.value(0, g.find("y"), 0).has_value());
+  EXPECT_TRUE(e.value(0, g.find("y"), 99).has_value());
 }
 
 TEST(EngineTest, OnKnownCallbackFires) {
   Graph g = feedback_graph();
   Engine e(g);
   std::vector<std::pair<std::uint64_t, std::int64_t>> seen;
-  e.on_known(g.find("y"), [&](std::uint64_t k, TimePoint t) {
+  e.on_known(0, g.find("y"), [&](std::uint64_t k, TimePoint t) {
     seen.emplace_back(k, t.count());
   });
-  e.set_external(g.find("u"), 0, at(0));
+  feed(e, g.find("u"), 0, at(0));
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0].first, 0u);
   EXPECT_EQ(seen[0].second, 5000);
@@ -316,10 +337,10 @@ TEST(EngineTest, CallbackOrderUnchanged) {
   // b carries no callback, so the chain through it runs without one.
   for (const char* name : {"a", "c", "d", "e"}) {
     const NodeId n = g.find(name);
-    e.on_known(n, [&, n](std::uint64_t k, TimePoint) {
+    e.on_known(0, n, [&, n](std::uint64_t k, TimePoint) {
       seen.emplace_back(n, k);
       // A nested feed from inside the drain only enqueues.
-      if (n == g.find("e") && k == 1) e.set_external(g.find("u"), 4, at(40));
+      if (n == g.find("e") && k == 1) feed(e, g.find("u"), 4, at(40));
     });
   }
   model::TokenAttrs small;
@@ -327,13 +348,13 @@ TEST(EngineTest, CallbackOrderUnchanged) {
   model::TokenAttrs big;
   big.size = 100;
   for (std::uint64_t k = 0; k < 3; ++k)
-    e.set_external(g.find("u"), k, at(static_cast<std::int64_t>(k) * 10));
-  e.set_attrs(0, 2, big);
-  e.set_attrs(0, 0, small);
-  e.set_attrs(0, 1, big);
-  e.set_attrs(0, 4, small);
-  e.set_attrs(0, 3, small);
-  e.set_external(g.find("u"), 3, at(30));
+    feed(e, g.find("u"), k, at(static_cast<std::int64_t>(k) * 10));
+  feed_attrs(e, 0, 2, big);
+  feed_attrs(e, 0, 0, small);
+  feed_attrs(e, 0, 1, big);
+  feed_attrs(e, 0, 4, small);
+  feed_attrs(e, 0, 3, small);
+  feed(e, g.find("u"), 3, at(30));
 
   const NodeId a = g.find("a"), c = g.find("c"), d = g.find("d"),
                t = g.find("e");
@@ -345,10 +366,10 @@ TEST(EngineTest, CallbackOrderUnchanged) {
   EXPECT_EQ(e.instances_computed(), 25u);
 }
 
-/// A callback on a mid-chain node raises the retain floor, so prune() runs
-/// re-entrantly while the chain is being evaluated; the chain continues
-/// across the lag-1 arc b → c into the next frame. Every value must match
-/// a run that never prunes.
+/// A callback on a mid-chain node raises the retain floor while the chain is
+/// being evaluated; frames are reclaimed once the drain has finished, and
+/// the chain continues across the lag-1 arc b → c into the next frame.
+/// Every value must match a run that never prunes.
 TEST(EngineTest, RetainFloorRaisedInCallbackMidChain) {
   GraphBuilder b;
   b.input("u");
@@ -366,35 +387,35 @@ TEST(EngineTest, RetainFloorRaisedInCallbackMidChain) {
 
   const auto run = [&](Engine& e) {
     for (std::uint64_t k = 0; k < kIters; ++k)
-      e.set_external(g.find("u"), k, at(static_cast<std::int64_t>(k) * 7000));
-    for (std::uint64_t k = 0; k < kIters; ++k) e.set_attrs(0, k, {});
+      feed(e, g.find("u"), k, at(static_cast<std::int64_t>(k) * 7000));
+    for (std::uint64_t k = 0; k < kIters; ++k) feed_attrs(e, 0, k, {});
   };
 
   Engine ref(g);
   run(ref);
 
   trace::InstantTraceSet instants;
-  Engine e(g, Engine::Options{&instants, nullptr});
+  Engine e(g, sinks(&instants, nullptr));
   std::vector<TimePoint> b_values;
-  e.on_known(g.find("b"), [&](std::uint64_t k, TimePoint t) {
+  e.on_known(0, g.find("b"), [&](std::uint64_t k, TimePoint t) {
     b_values.push_back(t);
-    e.set_retain_floor(k + 1);
+    e.set_retain_floor(0, k + 1);
   });
   run(e);
 
-  EXPECT_FALSE(e.value(g.find("a"), 0).has_value());  // pruned mid-run
+  EXPECT_FALSE(e.value(0, g.find("a"), 0).has_value());  // pruned mid-run
   EXPECT_EQ(e.instances_computed(), ref.instances_computed());
   EXPECT_EQ(e.arc_terms_evaluated(), ref.arc_terms_evaluated());
   ASSERT_EQ(b_values.size(), kIters);
   for (std::uint64_t k = 0; k < kIters; ++k)
-    EXPECT_EQ(b_values[k], ref.value(g.find("b"), k)) << "k=" << k;
+    EXPECT_EQ(b_values[k], ref.value(0, g.find("b"), k)) << "k=" << k;
   for (const auto& [name, series] :
        {std::pair{"c", "chanC"}, {"d", "chanD"}, {"x", "chanX"}}) {
     const trace::InstantSeries* s = instants.find(series);
     ASSERT_NE(s, nullptr) << name;
     ASSERT_EQ(s->size(), kIters) << name;
     for (std::uint64_t k = 0; k < kIters; ++k)
-      EXPECT_EQ(s->values()[k], ref.value(g.find(name), k))
+      EXPECT_EQ(s->values()[k], ref.value(0, g.find(name), k))
           << name << " k=" << k;
   }
 }
@@ -413,15 +434,15 @@ TEST(EngineTest, LaggedDependentHeldAcrossFrames) {
   Engine e(g);
   const NodeId u = g.find("u"), a = g.find("a"), bb = g.find("b"),
                c = g.find("c");
-  e.set_external(u, 1, at(100));
-  EXPECT_EQ(e.value(a, 1), at(1100));
-  EXPECT_FALSE(e.value(c, 1).has_value());  // waits for a(0)
-  e.set_external(u, 0, at(0));
-  EXPECT_EQ(e.value(a, 0), at(1000));
-  EXPECT_EQ(e.value(bb, 0), at(3000));
-  EXPECT_EQ(e.value(c, 0), at(5000));  // max(u(0), origin + 5ns)
-  EXPECT_EQ(e.value(c, 1), at(6000));  // max(u(1), a(0) + 5ns)
-  EXPECT_EQ(e.value(bb, 1), at(3100));
+  feed(e, u, 1, at(100));
+  EXPECT_EQ(e.value(0, a, 1), at(1100));
+  EXPECT_FALSE(e.value(0, c, 1).has_value());  // waits for a(0)
+  feed(e, u, 0, at(0));
+  EXPECT_EQ(e.value(0, a, 0), at(1000));
+  EXPECT_EQ(e.value(0, bb, 0), at(3000));
+  EXPECT_EQ(e.value(0, c, 0), at(5000));  // max(u(0), origin + 5ns)
+  EXPECT_EQ(e.value(0, c, 1), at(6000));  // max(u(1), a(0) + 5ns)
+  EXPECT_EQ(e.value(0, bb, 1), at(3100));
   EXPECT_EQ(e.instances_computed(), 6u);
   EXPECT_EQ(e.completed_iterations(), 2u);
 }
@@ -441,13 +462,53 @@ TEST(EngineTest, DrainRecoversAfterThrowingGuard) {
   g.freeze();
   Engine e(g);
   const NodeId u = g.find("u"), a = g.find("a");
-  e.set_attrs(0, 0, {});
-  EXPECT_THROW(e.set_external(u, 0, at(0)), Error);
-  EXPECT_FALSE(e.value(a, 0).has_value());
-  e.set_attrs(0, 1, {});
-  e.set_external(u, 1, at(100));
-  EXPECT_EQ(e.value(a, 1), at(5100));
+  feed_attrs(e, 0, 0, {});
+  EXPECT_THROW(feed(e, u, 0, at(0)), Error);
+  EXPECT_FALSE(e.value(0, a, 0).has_value());
+  feed_attrs(e, 0, 1, {});
+  feed(e, u, 1, at(100));
+  EXPECT_EQ(e.value(0, a, 1), at(5100));
   EXPECT_EQ(e.instances_computed(), 1u);
+}
+
+/// Inside an on_known callback the drain is running: a feed only enqueues
+/// (the running drain computes it), flush() is a no-op, and a raised retain
+/// floor reclaims no frame until the drain has finished.
+TEST(EngineTest, FeedAndFlushInsideCallbackOnlyEnqueue) {
+  GraphBuilder b;
+  b.input("u").instant("a").instant("b");
+  b.arc("u", "a").fixed(1_ns);
+  b.arc("a", "b").fixed(2_ns);
+  b.arc("b", "b").lag(1).fixed(1_ns);
+  Graph g = b.take();
+  g.freeze();
+  const NodeId u = g.find("u"), a = g.find("a"), bb = g.find("b");
+  constexpr std::uint64_t kIters = 30;
+
+  Engine e(g);
+  std::vector<std::uint64_t> seen;
+  e.on_known(0, bb, [&](std::uint64_t k, TimePoint) {
+    seen.push_back(k);
+    e.set_retain_floor(0, k + 1);
+    EXPECT_FALSE(e.flush()) << "k=" << k;
+    // Frame 0 outlives every floor raise while the drain runs.
+    EXPECT_EQ(e.value(0, a, 0), at(1000)) << "k=" << k;
+    if (k + 1 == kIters) return;
+    e.set_external(0, u, k + 1, at(static_cast<std::int64_t>(k + 1) * 10));
+    EXPECT_TRUE(e.has_work()) << "k=" << k;
+    EXPECT_FALSE(e.value(0, a, k + 1).has_value()) << "k=" << k;
+  });
+  e.set_external(0, u, 0, at(0));
+  EXPECT_TRUE(e.flush());  // one drain runs the whole cascade
+
+  ASSERT_EQ(seen.size(), kIters);
+  EXPECT_FALSE(e.has_work());
+  EXPECT_FALSE(e.value(0, a, 0).has_value());  // reclaimed after the drain
+  Engine ref(g);
+  for (std::uint64_t k = 0; k < kIters; ++k)
+    feed(ref, u, k, at(static_cast<std::int64_t>(k) * 10));
+  EXPECT_EQ(e.value(0, bb, kIters - 1), ref.value(0, bb, kIters - 1));
+  EXPECT_EQ(e.instances_computed(), ref.instances_computed());
 }
 
 TEST(EngineTest, UnfrozenGraphRejected) {
@@ -480,8 +541,8 @@ TEST(SimplifyTest, FoldCollapsesPassThroughChain) {
   EXPECT_EQ(folded.arc_count(), 1u);
   folded.freeze();
   Engine e(folded);
-  e.set_external(folded.find("u"), 0, at(0));
-  EXPECT_EQ(e.value(folded.find("x1"), 0), at(5000));  // 2ns + 3ns composed
+  feed(e, folded.find("u"), 0, at(0));
+  EXPECT_EQ(e.value(0, folded.find("x1"), 0), at(5000));  // 2ns + 3ns composed
 }
 
 TEST(SimplifyTest, FoldPreservesSemantics) {
@@ -493,9 +554,9 @@ TEST(SimplifyTest, FoldPreservesSemantics) {
   Engine er(raw), ef(folded);
   for (std::uint64_t k = 0; k < 10; ++k) {
     const TimePoint u = at(static_cast<std::int64_t>(k) * 777);
-    er.set_external(raw.find("u"), k, u);
-    ef.set_external(folded.find("u"), k, u);
-    EXPECT_EQ(er.value(raw.find("x1"), k), ef.value(folded.find("x1"), k));
+    feed(er, raw.find("u"), k, u);
+    feed(ef, folded.find("u"), k, u);
+    EXPECT_EQ(er.value(0, raw.find("x1"), k), ef.value(0, folded.find("x1"), k));
   }
   EXPECT_LT(ef.instances_computed(), er.instances_computed());
 }
@@ -525,9 +586,9 @@ TEST(SimplifyTest, PadAddsExactNodeCountPreservingValues) {
   Engine eb(base);
   for (std::uint64_t k = 0; k < 20; ++k) {
     const TimePoint u = at(static_cast<std::int64_t>(k) * 333);
-    ep.set_external(padded.find("u"), k, u);
-    eb.set_external(base.find("u"), k, u);
-    EXPECT_EQ(ep.value(padded.find("y"), k), eb.value(base.find("y"), k));
+    feed(ep, padded.find("u"), k, u);
+    feed(eb, base.find("u"), k, u);
+    EXPECT_EQ(ep.value(0, padded.find("y"), k), eb.value(0, base.find("y"), k));
   }
   // The padded engine does strictly more work — that is its purpose.
   EXPECT_GT(ep.instances_computed(), eb.instances_computed());
@@ -562,12 +623,12 @@ TEST(ExportTest, LinearSystemMatchesEngine) {
   ASSERT_EQ(ex.output_nodes.size(), 1u);
   for (std::uint64_t k = 0; k < 25; ++k) {
     const TimePoint u = at(static_cast<std::int64_t>(k * k) * 100);
-    e.set_external(g.find("u"), k, u);
+    feed(e, g.find("u"), k, u);
     mp::Vector uv(1);
     uv[0] = mp::Scalar::from_time(u);
     const auto step = ex.system.step(uv);
-    ASSERT_TRUE(e.value(g.find("y"), k).has_value());
-    EXPECT_EQ(step.y[0].value(), e.value(g.find("y"), k)->count())
+    ASSERT_TRUE(e.value(0, g.find("y"), k).has_value());
+    EXPECT_EQ(step.y[0].value(), e.value(0, g.find("y"), k)->count())
         << "k=" << k;
   }
 }
