@@ -1,7 +1,6 @@
 #pragma once
 
-#include <cstdint>
-#include <optional>
+#include <cstddef>
 #include <vector>
 
 /// \file cycle_ratio.hpp
@@ -13,10 +12,13 @@
 /// lags on the cycle). This generalizes the (max,+) matrix eigenvalue to
 /// graphs whose history arcs carry arbitrary lags.
 ///
-/// We compute it by parametric search: λ is feasible (λ ≥ all cycle ratios)
-/// iff the graph with arc weights w - λ·lag has no positive cycle, checked
-/// with Bellman-Ford. Used by the ablation bench to compare the analytic
-/// throughput bound against the simulated steady-state period.
+/// We compute it exactly, as the ratio W/L of a critical cycle, by Howard
+/// policy iteration (Cochet-Terrasson et al.'s multichain form) over the
+/// arcs inside the strongly connected components that hold a lagged arc.
+/// Each iteration is linear in those arcs and few are needed in practice;
+/// a zero-lag cycle is found by a linear topological sort first. Consumers:
+/// tdg::throughput_bound (ablation bench, examples) and the adaptive
+/// backend's analytic cross-check (AdaptiveStats::analytic_ratio_ps).
 
 namespace maxev::mp {
 
@@ -35,17 +37,18 @@ struct CycleRatioResult {
   /// steady-state period the architecture can sustain.
   double max_ratio = 0.0;
   /// False when the graph has no cycle containing a lag (pure feed-forward:
-  /// throughput limited only by the input rate); max_ratio is then 0.
+  /// throughput limited only by the input rate) or when λ <= 0; max_ratio
+  /// is then 0.
   bool has_cycle = false;
 };
 
 /// Compute the maximum cycle ratio of the given arc set over \p node_count
 /// nodes. A zero-lag positive-weight cycle makes every λ infeasible; this is
-/// a malformed instant system and throws maxev::DescriptionError.
-///
-/// \param tolerance absolute convergence tolerance on λ, in picoseconds.
+/// a malformed instant system and throws maxev::DescriptionError. An arc
+/// endpoint out of range or a non-finite weight throws maxev::Error, as
+/// does policy iteration hitting its iteration cap (no value is returned
+/// then).
 [[nodiscard]] CycleRatioResult max_cycle_ratio(std::size_t node_count,
-                                               const std::vector<RatioArc>& arcs,
-                                               double tolerance = 1e-3);
+                                               const std::vector<RatioArc>& arcs);
 
 }  // namespace maxev::mp

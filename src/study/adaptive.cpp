@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "maxplus/eigen.hpp"
+#include "maxplus/cycle_ratio.hpp"
 #include "model/shaping.hpp"
 #include "tdg/export.hpp"
 #include "util/error.hpp"
@@ -976,7 +976,7 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
           return fn ? fn(k) : model::TokenAttrs{};
         },
         std::min<std::uint64_t>(64, count));
-    analytic_ratio_ps = mp::steady_state(rg.nodes, rg.arcs).cycle_ratio_ps;
+    analytic_ratio_ps = mp::max_cycle_ratio(rg.nodes, rg.arcs).max_ratio;
   } catch (const std::exception&) {
     analytic_ratio_ps = 0.0;
   }

@@ -72,9 +72,12 @@ struct AdaptiveStats {
   std::uint64_t regime_resets = 0;
   /// Human-readable reason of the most recent refusal (diagnostics only).
   std::string last_refusal;
-  /// Analytic steady-state rate λ of the frozen program (mp::steady_state),
-  /// picoseconds per iteration; 0 when not computed. Cross-check only —
-  /// the fast-forward itself uses the measured per-node increments.
+  /// Analytic steady-state rate λ of the frozen program, picoseconds per
+  /// iteration: the exact maximum cycle ratio (mp::max_cycle_ratio) of its
+  /// ratio graph sampled over min(64, tokens) iterations, the value
+  /// tdg::throughput_bound gives for that sample. 0 when not computed or
+  /// when no cycle constrains the rate. Cross-check only — the fast-forward
+  /// itself uses the measured per-node increments.
   double analytic_ratio_ps = 0.0;
 };
 

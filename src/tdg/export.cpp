@@ -1,5 +1,6 @@
 #include "tdg/export.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "util/error.hpp"
@@ -119,18 +120,47 @@ RatioGraph to_ratio_graph(const Graph& g, const AttrsProvider& attrs,
   if (sample_iterations == 0)
     throw DescriptionError("to_ratio_graph: need at least one sample");
 
+  // Every source an arc reads, sampled once per iteration instead of once
+  // per arc and iteration: row k of `sampled` holds them in `sources` order.
+  std::vector<model::SourceId> sources;
+  sources.reserve(g.arc_count());
+  for (const Arc& a : g.arcs()) sources.push_back(a.attr_source);
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  const std::size_t width = sources.size();
+  std::vector<model::TokenAttrs> sampled(
+      width * static_cast<std::size_t>(sample_iterations));
+  if (attrs) {
+    for (std::size_t row = 0; row < sampled.size(); row += width)
+      for (std::size_t i = 0; i < width; ++i)
+        sampled[row + i] = attrs(sources[i], row / width);
+  }
+
   RatioGraph out;
   out.nodes = g.node_count();
   out.arcs.reserve(g.arc_count());
   for (const Arc& a : g.arcs()) {
     double mean = 0.0;
     std::uint64_t used = 0;
-    for (std::uint64_t k = 0; k < sample_iterations; ++k) {
-      const model::TokenAttrs at =
-          attrs ? attrs(a.attr_source, k) : model::TokenAttrs{};
-      if (a.guard && !a.guard(at, k)) continue;
-      mean += static_cast<double>(g.arc_weight(a, at, k).count());
-      ++used;
+    const bool constant =
+        !a.guard && std::none_of(a.segments.begin(), a.segments.end(),
+                                 [](const Segment& s) { return s.is_exec(); });
+    if (constant) {
+      // Guard-free and execute-free: the same weight at every k, summed
+      // exactly as the sampling loop below would.
+      const auto w = static_cast<double>(g.arc_weight(a, {}, 0).count());
+      for (; used < sample_iterations; ++used) mean += w;
+    } else {
+      const std::size_t col = static_cast<std::size_t>(
+          std::lower_bound(sources.begin(), sources.end(), a.attr_source) -
+          sources.begin());
+      for (std::uint64_t k = 0; k < sample_iterations; ++k) {
+        const model::TokenAttrs& at =
+            sampled[static_cast<std::size_t>(k) * width + col];
+        if (a.guard && !a.guard(at, k)) continue;
+        mean += static_cast<double>(g.arc_weight(a, at, k).count());
+        ++used;
+      }
     }
     if (used == 0) continue;  // arc always guarded off in the sample
     mean /= static_cast<double>(used);

@@ -16,7 +16,8 @@
 ///    used by the test suite to cross-validate the graph engine against
 ///    plain (max,+) matrix algebra;
 ///  * a cycle-ratio analysis graph, giving the architecture's analytic
-///    steady-state throughput bound (ablation benchmark).
+///    steady-state throughput bound (ablation benchmark, adaptive backend
+///    cross-check).
 
 namespace maxev::tdg {
 
@@ -46,9 +47,12 @@ struct ExtractedSystem {
                                                AttrsProvider attrs);
 
 /// The cycle-ratio analysis graph: mean arc durations sampled over
-/// iterations [0, sample_iterations) with the given attribute provider.
-/// Consumed by mp::max_cycle_ratio / mp::steady_state (the adaptive
-/// backend's analytic cross-check reuses this instead of rebuilding arcs).
+/// iterations [0, sample_iterations) with the given attribute provider
+/// (arcs guarded off at every sampled k are dropped). The provider is
+/// called once per (source, k) for every source an arc reads; a guard-free,
+/// execute-free arc is evaluated once. Consumed by mp::max_cycle_ratio
+/// through throughput_bound and by the adaptive backend's analytic
+/// cross-check (AdaptiveStats::analytic_ratio_ps).
 struct RatioGraph {
   std::size_t nodes = 0;
   std::vector<mp::RatioArc> arcs;

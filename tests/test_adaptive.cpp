@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled.hpp"
 #include "gen/random_arch.hpp"
 #include "lte/receiver.hpp"
 #include "model/desc.hpp"
@@ -15,6 +16,7 @@
 #include "model/shaping.hpp"
 #include "study/adaptive.hpp"
 #include "study/study.hpp"
+#include "tdg/export.hpp"
 
 /// The adaptive backend (docs/DESIGN.md §15): the periodicity detector's
 /// firing contract, the certify-then-fast-forward pass's bit-identity
@@ -256,6 +258,42 @@ TEST(AdaptiveModelTest, LteFixedFrameExtrapolatesTheSubframePeriod) {
   // The minimal vector period of a 14-symbol subframe divides 14.
   ASSERT_GT(st->detected_period, 0u);
   EXPECT_EQ(14u % st->detected_period, 0u);
+}
+
+TEST(AdaptiveModelTest, PaddedLteReceiverCrossCheckIsTheThroughputBound) {
+  // The benchmark's composed-LTE shape: a carrier-aggregation variant
+  // (fixed frame) padded with 100 pass-through nodes. The fast-forward
+  // stays exact, and its analytic cross-check is the exact maximum cycle
+  // ratio of the same compiled graph over the same sample.
+  constexpr std::uint64_t kSymbols = 30 * lte::kSymbolsPerSubframe;
+  constexpr std::size_t kPad = 100;
+  for (const lte::CarrierVariant& v :
+       lte::carrier_aggregation_variants(2, kSymbols, 1)) {
+    const auto desc = model::share(lte::make_receiver(v.config));
+    Scenario s(v.name, desc);
+    s.with_pad_nodes(kPad);
+    const auto ref = run_backend(Backend::equivalent(), s);
+    const auto ad = run_backend(Backend::adaptive(), s);
+    expect_same_traces(*ref, *ad, v.name);
+
+    const auto st = ad->adaptive_stats();
+    ASSERT_TRUE(st.has_value()) << v.name;
+    EXPECT_TRUE(st->extrapolated) << v.name;
+    EXPECT_EQ(st->max_error_ps, 0) << v.name;
+
+    const core::CompiledPtr c = core::compile_abstraction(
+        core::CompiledKey::make(desc, {}, true, kPad));
+    const mp::CycleRatioResult bound = tdg::throughput_bound(
+        c->graph,
+        [&desc](model::SourceId src, std::uint64_t k) {
+          const auto& fn = desc->sources()[static_cast<std::size_t>(src)].attrs;
+          return fn ? fn(k) : model::TokenAttrs{};
+        },
+        64);
+    ASSERT_TRUE(bound.has_cycle) << v.name;
+    EXPECT_GT(bound.max_ratio, 0.0) << v.name;
+    EXPECT_EQ(st->analytic_ratio_ps, bound.max_ratio) << v.name;
+  }
 }
 
 TEST(AdaptiveModelTest, MinIterationsFloorsDetection) {

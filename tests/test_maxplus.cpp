@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "maxplus/cycle_ratio.hpp"
 #include "maxplus/linear_system.hpp"
 #include "maxplus/matrix.hpp"
@@ -295,6 +300,256 @@ TEST(CycleRatioTest, ZeroLagPositiveCycleThrows) {
 TEST(CycleRatioTest, BadEndpointThrows) {
   std::vector<RatioArc> arcs = {{0, 5, 1.0, 0}};
   EXPECT_THROW((void)max_cycle_ratio(2, arcs), Error);
+}
+
+TEST(CycleRatioTest, EndpointsValidatedBeforeTheEmptyGraphReturn) {
+  // No node at all: the arc's endpoints are out of range, which must not be
+  // hidden by the empty-graph early return.
+  EXPECT_THROW((void)max_cycle_ratio(0, {{0, 0, 1.0, 1}}), Error);
+  EXPECT_FALSE(max_cycle_ratio(0, {}).has_cycle);
+}
+
+TEST(CycleRatioTest, NonFiniteWeightThrows) {
+  EXPECT_THROW((void)max_cycle_ratio(1, {{0, 0, std::nan(""), 1}}), Error);
+  EXPECT_THROW(
+      (void)max_cycle_ratio(
+          1, {{0, 0, std::numeric_limits<double>::infinity(), 1}}),
+      Error);
+}
+
+// ------------------------------------------------- exact values (no tolerance)
+
+TEST(CycleRatioTest, ExactValues) {
+  // One lagged loop: W/L exactly.
+  EXPECT_DOUBLE_EQ(max_cycle_ratio(2, {{0, 1, 6.0, 0}, {1, 0, 4.0, 1}})
+                       .max_ratio,
+                   10.0);
+  // Negative weights on a lag-2 cycle: (10 - 3) / 2.
+  EXPECT_DOUBLE_EQ(max_cycle_ratio(2, {{0, 1, -3.0, 1}, {1, 0, 10.0, 1}})
+                       .max_ratio,
+                   3.5);
+  // Two components; the second (15/2) dominates the first (3/1), and the
+  // arc joining them lies on no cycle.
+  const auto two = max_cycle_ratio(
+      5, {{0, 0, 3.0, 1}, {0, 1, 100.0, 0}, {1, 2, 5.0, 0},
+          {2, 3, 4.0, 1}, {3, 1, 6.0, 1}, {3, 4, 50.0, 0}});
+  EXPECT_TRUE(two.has_cycle);
+  EXPECT_DOUBLE_EQ(two.max_ratio, 7.5);
+  // Parallel arcs: the heavier of two lag-1 self-loops wins; a lag-3 one
+  // with more weight still has a lower ratio (20/3 < 7).
+  EXPECT_DOUBLE_EQ(
+      max_cycle_ratio(1, {{0, 0, 5.0, 1}, {0, 0, 7.0, 1}, {0, 0, 20.0, 3}})
+          .max_ratio,
+      7.0);
+  // A zero-lag cycle of weight 0 next to a lagged one is harmless.
+  EXPECT_DOUBLE_EQ(
+      max_cycle_ratio(3, {{0, 1, 2.0, 0}, {1, 0, -2.0, 0}, {1, 2, 1.25, 0},
+                          {2, 0, 0.5, 2}})
+          .max_ratio,
+      1.875);  // (2 + 1.25 + 0.5) / 2
+  // The critical cycle is not the one the initial policy picks: node 0
+  // starts on its first lagged arc (ratio 1), the optimum is 0 -> 1 -> 0
+  // over the second one, (4 + 8) / 2.
+  EXPECT_DOUBLE_EQ(max_cycle_ratio(2, {{0, 0, 1.0, 1}, {0, 1, 4.0, 1},
+                                       {1, 0, 8.0, 1}})
+                       .max_ratio,
+                   6.0);
+}
+
+TEST(CycleRatioTest, NonPositiveCyclesDoNotConstrainTheRate) {
+  const auto r = max_cycle_ratio(2, {{0, 1, -5.0, 1}, {1, 0, 2.0, 0}});
+  EXPECT_FALSE(r.has_cycle);
+  EXPECT_EQ(r.max_ratio, 0.0);
+  // A zero-weight lagged cycle: λ = 0, which is no constraint either.
+  EXPECT_FALSE(max_cycle_ratio(1, {{0, 0, 0.0, 1}}).has_cycle);
+}
+
+TEST(CycleRatioTest, ZeroLagPositiveCycleInsideALaggedComponentThrows) {
+  // 0 <-> 1 at lag 0 with weight 2 is positive; the lagged arcs put all
+  // three nodes in one strongly connected component.
+  const std::vector<RatioArc> arcs = {
+      {0, 1, 1.0, 0}, {1, 0, 1.0, 0}, {1, 2, 5.0, 1}, {2, 0, 1.0, 0}};
+  EXPECT_THROW((void)max_cycle_ratio(3, arcs), DescriptionError);
+}
+
+TEST(CycleRatioTest, LongLagOneRing) {
+  // 5,000 nodes, every arc lag 1, weights 0..4 repeating: the ring's ratio
+  // is 10,000 / 5,000 = 2. Chords i -> i+2 (lag 2, one unit lighter than
+  // the path they skip) form lower-ratio cycles the iteration must pass.
+  constexpr std::size_t kN = 5000;
+  std::vector<RatioArc> arcs;
+  for (std::size_t i = 0; i < kN; ++i)
+    arcs.push_back({i, (i + 1) % kN, static_cast<double>(i % 5), 1});
+  for (std::size_t i = 0; i < kN; i += 7)
+    arcs.push_back({i, (i + 2) % kN,
+                    static_cast<double>(i % 5 + (i + 1) % 5) - 1.0, 2});
+  const auto r = max_cycle_ratio(kN, arcs);
+  ASSERT_TRUE(r.has_cycle);
+  EXPECT_DOUBLE_EQ(r.max_ratio, 2.0);
+}
+
+// ------------------------------------------------- differential: enumeration
+
+/// Outcome of a cycle-ratio computation: the value, or which error it threw.
+struct RatioOutcome {
+  enum Kind { kValue, kDescriptionError, kError } kind = kValue;
+  CycleRatioResult result;
+};
+
+template <class Fn>
+RatioOutcome outcome_of(Fn&& fn) {
+  RatioOutcome o;
+  try {
+    o.result = fn();
+  } catch (const DescriptionError&) {
+    o.kind = RatioOutcome::kDescriptionError;
+  } catch (const Error&) {
+    o.kind = RatioOutcome::kError;
+  }
+  return o;
+}
+
+/// Reference by exhaustive enumeration of the simple cycles (arc by arc, so
+/// parallel arcs are distinct cycles): λ is the largest W/L over cycles
+/// with L > 0; a zero-lag cycle with W > 0 is malformed.
+RatioOutcome enumerate_cycles(std::size_t n, const std::vector<RatioArc>& arcs) {
+  for (const RatioArc& a : arcs)
+    if (a.src >= n || a.dst >= n) return {RatioOutcome::kError, {}};
+  bool found = false, malformed = false;
+  double best = 0.0;
+  std::vector<bool> on_path(n, false);
+  // Paths start at s and use only nodes > s, so each cycle is seen once.
+  const auto dfs = [&](auto&& self, std::size_t s, std::size_t v, double w,
+                       unsigned lag) -> void {
+    for (const RatioArc& a : arcs) {
+      if (a.src != v) continue;
+      const double w2 = w + a.weight;
+      const unsigned lag2 = lag + a.lag;
+      if (a.dst == s) {
+        if (lag2 == 0) {
+          malformed = malformed || w2 > 0.0;
+        } else if (!found || w2 / lag2 > best) {
+          best = w2 / lag2;
+          found = true;
+        }
+      } else if (a.dst > s && !on_path[a.dst]) {
+        on_path[a.dst] = true;
+        self(self, s, a.dst, w2, lag2);
+        on_path[a.dst] = false;
+      }
+    }
+  };
+  for (std::size_t s = 0; s < n; ++s) dfs(dfs, s, s, 0.0, 0);
+  if (malformed) return {RatioOutcome::kDescriptionError, {}};
+  RatioOutcome o;
+  if (found && best > 0.0) o.result = {best, true};
+  return o;
+}
+
+/// Random arc set over n nodes: zero-lag arcs mostly run forward (so most
+/// graphs are well-formed), lags up to 3, quarter-unit weights in
+/// [-5, 10] (exact sums), self-loops and parallel arcs by chance, and now
+/// and then an endpoint out of range.
+std::vector<RatioArc> random_ratio_arcs(Rng& rng, std::size_t n) {
+  std::vector<RatioArc> arcs(rng.next_below(2 * n + 4));
+  for (RatioArc& a : arcs) {
+    a.src = rng.next_below(n);
+    a.dst = rng.next_below(n);
+    a.lag = rng.chance(0.5) ? 0u : static_cast<unsigned>(rng.uniform_int(1, 3));
+    if (a.lag == 0 && a.src > a.dst && rng.chance(0.9)) std::swap(a.src, a.dst);
+    a.weight = 0.25 * static_cast<double>(rng.uniform_int(-20, 40));
+  }
+  if (!arcs.empty() && rng.chance(0.01)) arcs.front().dst = n;
+  return arcs;
+}
+
+void expect_same_outcome(const RatioOutcome& got, const RatioOutcome& ref,
+                         const std::string& ctx) {
+  ASSERT_EQ(got.kind, ref.kind) << ctx;
+  EXPECT_EQ(got.result.has_cycle, ref.result.has_cycle) << ctx;
+  EXPECT_NEAR(got.result.max_ratio, ref.result.max_ratio,
+              1e-6 * std::abs(ref.result.max_ratio))
+      << ctx;
+}
+
+TEST(CycleRatioSweepTest, AgreesWithCycleEnumeration) {
+  Rng rng(20260);
+  int cyclic = 0, malformed = 0, acyclic = 0;
+  for (int g = 0; g < 12000; ++g) {
+    const std::size_t n = 1 + rng.next_below(8);
+    const std::vector<RatioArc> arcs = random_ratio_arcs(rng, n);
+    const RatioOutcome ref = enumerate_cycles(n, arcs);
+    const RatioOutcome got =
+        outcome_of([&] { return max_cycle_ratio(n, arcs); });
+    expect_same_outcome(got, ref, "graph " + std::to_string(g));
+    if (ref.kind == RatioOutcome::kDescriptionError) ++malformed;
+    else if (ref.result.has_cycle) ++cyclic;
+    else if (ref.kind == RatioOutcome::kValue) ++acyclic;
+  }
+  // The sweep must cover every outcome, not pass vacuously.
+  EXPECT_GT(cyclic, 3000);
+  EXPECT_GT(malformed, 300);
+  EXPECT_GT(acyclic, 1000);
+}
+
+// ---------------------------------------------------- differential: bisection
+
+/// Bellman-Ford positive-cycle test on w − λ·lag (all nodes seeded at 0).
+bool positive_cycle_at(std::size_t n, const std::vector<RatioArc>& arcs,
+                       double lambda) {
+  std::vector<double> dist(n, 0.0);
+  for (std::size_t pass = 0; pass < n; ++pass) {
+    bool changed = false;
+    for (const RatioArc& a : arcs) {
+      const double w = a.weight - lambda * static_cast<double>(a.lag);
+      if (dist[a.src] + w > dist[a.dst] + 1e-12) {
+        dist[a.dst] = dist[a.src] + w;
+        changed = true;
+      }
+    }
+    if (!changed) return false;
+  }
+  return true;
+}
+
+TEST(CycleRatioSweepTest, AgreesWithBisectionOnLargerGraphs) {
+  // The parametric search the policy iteration replaced, bisected to a
+  // relative 1e-9: λ is the least value with no positive cycle under
+  // w − λ·lag. Graphs of 20-60 nodes have many overlapping cycles, so
+  // the policy iteration takes several improvement steps here.
+  Rng rng(4711);
+  int cyclic = 0;
+  for (int g = 0; g < 150; ++g) {
+    const std::size_t n = 20 + rng.next_below(41);
+    std::vector<RatioArc> arcs;
+    for (std::size_t i = 0; i < 3 * n; ++i) {
+      RatioArc a;
+      a.src = rng.next_below(n);
+      a.dst = rng.next_below(n);
+      a.lag = a.src < a.dst ? static_cast<unsigned>(rng.next_below(2))
+                            : static_cast<unsigned>(rng.uniform_int(1, 4));
+      a.weight = rng.uniform(-50.0, 400.0);
+      arcs.push_back(a);
+    }
+    const std::string ctx = "graph " + std::to_string(g);
+    const CycleRatioResult got = max_cycle_ratio(n, arcs);
+    std::vector<RatioArc> zero_lag;
+    for (const RatioArc& a : arcs)
+      if (a.lag == 0) zero_lag.push_back(a);
+    ASSERT_FALSE(positive_cycle_at(n, zero_lag, 0.0)) << ctx;
+    const bool cyclic_ref = positive_cycle_at(n, arcs, 0.0);
+    ASSERT_EQ(got.has_cycle, cyclic_ref) << ctx;
+    if (!cyclic_ref) continue;
+    ++cyclic;
+    double lo = 0.0, hi = 1.0;
+    while (positive_cycle_at(n, arcs, hi)) hi *= 2.0;
+    while (hi - lo > 1e-9 * hi) {
+      const double mid = 0.5 * (lo + hi);
+      (positive_cycle_at(n, arcs, mid) ? lo : hi) = mid;
+    }
+    EXPECT_NEAR(got.max_ratio, hi, 1e-6 * hi) << ctx;
+  }
+  EXPECT_GT(cyclic, 100);
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "gen/random_arch.hpp"
+#include "lte/receiver.hpp"
 #include "maxplus/scalar.hpp"
 #include "tdg/builder.hpp"
+#include "tdg/derive.hpp"
 #include "tdg/engine.hpp"
 #include "tdg/export.hpp"
 #include "tdg/graph.hpp"
@@ -639,6 +645,103 @@ TEST(ExportTest, ThroughputBoundFindsFeedbackCycle) {
       g, [](model::SourceId, std::uint64_t) { return model::TokenAttrs{}; });
   ASSERT_TRUE(r.has_cycle);
   EXPECT_NEAR(r.max_ratio, (2_ns).count(), 1.0);  // y->y lag-1 self-loop
+}
+
+/// to_ratio_graph as a per-arc, per-sample loop: the construction the
+/// sampled one must reproduce bit for bit.
+RatioGraph naive_ratio_graph(const Graph& g, const AttrsProvider& attrs,
+                             std::uint64_t sample_iterations) {
+  RatioGraph out;
+  out.nodes = g.node_count();
+  for (const Arc& a : g.arcs()) {
+    double mean = 0.0;
+    std::uint64_t used = 0;
+    for (std::uint64_t k = 0; k < sample_iterations; ++k) {
+      const model::TokenAttrs at =
+          attrs ? attrs(a.attr_source, k) : model::TokenAttrs{};
+      if (a.guard && !a.guard(at, k)) continue;
+      mean += static_cast<double>(g.arc_weight(a, at, k).count());
+      ++used;
+    }
+    if (used == 0) continue;
+    mean /= static_cast<double>(used);
+    out.arcs.push_back({static_cast<std::size_t>(a.src),
+                        static_cast<std::size_t>(a.dst), mean, a.lag});
+  }
+  return out;
+}
+
+/// Frozen copy of \p g's derived graph with guards added: every third arc
+/// is on for two iterations in three (phase set by the token size), and
+/// every seventh is never on.
+Graph guarded_copy(const Graph& g) {
+  Graph out(g.desc());
+  for (const Node& n : g.nodes()) out.add_node(n);
+  for (std::size_t i = 0; i < g.arc_count(); ++i) {
+    Arc a = g.arcs()[i];
+    if (i % 3 == 1)
+      a.guard = [](const model::TokenAttrs& at, std::uint64_t k) {
+        return (k + static_cast<std::uint64_t>(at.size)) % 3 != 0;
+      };
+    if (i % 7 == 5)
+      a.guard = [](const model::TokenAttrs&, std::uint64_t) { return false; };
+    out.add_arc(std::move(a));
+  }
+  out.freeze();
+  return out;
+}
+
+void expect_bit_identical(const RatioGraph& got, const RatioGraph& ref,
+                          const std::string& ctx) {
+  ASSERT_EQ(got.nodes, ref.nodes) << ctx;
+  ASSERT_EQ(got.arcs.size(), ref.arcs.size()) << ctx;
+  for (std::size_t i = 0; i < ref.arcs.size(); ++i) {
+    EXPECT_EQ(got.arcs[i].src, ref.arcs[i].src) << ctx << " arc " << i;
+    EXPECT_EQ(got.arcs[i].dst, ref.arcs[i].dst) << ctx << " arc " << i;
+    EXPECT_EQ(got.arcs[i].lag, ref.arcs[i].lag) << ctx << " arc " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.arcs[i].weight),
+              std::bit_cast<std::uint64_t>(ref.arcs[i].weight))
+        << ctx << " arc " << i;
+  }
+}
+
+/// The sampled to_ratio_graph against the naive loop, on the derived graph
+/// of \p desc and on a guarded copy, over several sample lengths.
+void check_ratio_graph(const model::ArchitectureDesc& desc,
+                       const std::string& ctx) {
+  Graph g = derive_full_tdg(desc).graph;
+  g.freeze();
+  const Graph guarded = guarded_copy(g);
+  const AttrsProvider attrs = [&desc](model::SourceId s, std::uint64_t k) {
+    const auto& fn = desc.sources()[static_cast<std::size_t>(s)].attrs;
+    return fn ? fn(k) : model::TokenAttrs{};
+  };
+  for (const std::uint64_t samples : {1u, 7u, 64u}) {
+    const std::string at = ctx + " samples " + std::to_string(samples);
+    expect_bit_identical(to_ratio_graph(g, attrs, samples),
+                         naive_ratio_graph(g, attrs, samples), at);
+    expect_bit_identical(to_ratio_graph(guarded, attrs, samples),
+                         naive_ratio_graph(guarded, attrs, samples),
+                         at + " guarded");
+  }
+  expect_bit_identical(to_ratio_graph(guarded, nullptr, 16),
+                       naive_ratio_graph(guarded, nullptr, 16),
+                       ctx + " no attrs");
+}
+
+TEST(ExportTest, RatioGraphMatchesPerArcSampling) {
+  lte::ReceiverConfig varying;  // frame parameters change every subframe
+  varying.symbols = 200;
+  check_ratio_graph(lte::make_receiver(varying), "lte varying");
+  lte::ReceiverConfig fixed = varying;
+  fixed.fixed_frame = lte::FrameParams{};
+  check_ratio_graph(lte::make_receiver(fixed), "lte fixed");
+  gen::RandomArchConfig cfg;
+  cfg.tokens = 64;
+  cfg.second_source_probability = 0.5;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed)
+    check_ratio_graph(gen::make_random_architecture(seed, cfg),
+                      "random seed " + std::to_string(seed));
 }
 
 }  // namespace
