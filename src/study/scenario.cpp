@@ -235,10 +235,18 @@ trace::UsageTraceSet instance_usage(const trace::UsageTraceSet& composed,
     if (rest == nullptr) continue;
     trace::UsageTrace& t = out.trace(rest);
     t.reserve(tr.size());
-    for (const trace::BusyInterval& iv : tr.intervals()) {
-      trace::BusyInterval stripped = iv;
-      if (const char* lr = strip(iv.label, instance)) stripped.label = lr;
-      t.add(std::move(stripped));
+    // Each composed label is stripped and interned once, on first use, so
+    // the intern order matches appending the intervals one by one.
+    std::vector<std::int32_t> ids(tr.labels().size(), -1);
+    for (std::size_t i = 0; i < tr.size(); ++i) {
+      const std::int32_t from = tr.label_ids()[i];
+      std::int32_t& to = ids.at(static_cast<std::size_t>(from));
+      if (to < 0) {
+        const std::string& label = tr.label(from);
+        const char* lr = strip(label, instance);
+        to = t.intern_label(lr != nullptr ? std::string(lr) : label);
+      }
+      t.push(tr.starts()[i], tr.ends()[i], tr.ops()[i], to);
     }
   }
   return out;

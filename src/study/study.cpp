@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -172,6 +173,30 @@ MeasuredCell measure(const Scenario& scenario, const Backend& backend,
   return out;
 }
 
+/// A measured cell with a model to read: neither failed nor empty.
+bool usable(const MeasuredCell& mc) {
+  return !mc.cell.failed && mc.model != nullptr;
+}
+
+/// The accuracy check of one cell against its scenario's reference. Reads
+/// both models through const accessors only, so several workers may check
+/// against one reference at once.
+ErrorStats compare_cell(const Model& ref, const Model& cell) {
+  ErrorStats errors;
+  errors.instant_mismatch =
+      trace::compare_instants(ref.instants(), cell.instants());
+  // Backends that record no usage by design (loosely-timed) are not marked
+  // mismatching for it; absence of data is not a difference.
+  if (cell.records_usage())
+    errors.usage_mismatch = trace::compare_usage(ref.usage(), cell.usage());
+  const trace::InstantErrorStats mag =
+      trace::instant_error_stats(ref.instants(), cell.instants());
+  errors.max_abs_seconds = mag.max_abs_seconds;
+  errors.mean_abs_seconds = mag.mean_abs_seconds;
+  errors.instants_compared = mag.instants;
+  return errors;
+}
+
 /// The isolate_failures representation of a cell whose measurement threw:
 /// default metrics, the exception's message and (when carried) diagnostics.
 MeasuredCell failed_cell(const Scenario& scenario, const Backend& backend,
@@ -284,12 +309,18 @@ Report Study::run(const StudyOptions& opts) const {
   };
   const std::size_t threads =
       opts.threads == 1 ? 1 : util::ThreadPool::resolve(opts.threads);
-  if (threads > 1 && slots.size() > 1) {
-    util::ThreadPool pool(std::min(threads, slots.size()) - 1);
-    pool.parallel_for(slots.size(), measure_slot);
-  } else {
-    for (std::size_t i = 0; i < slots.size(); ++i) measure_slot(i);
-  }
+  std::optional<util::ThreadPool> pool;
+  if (threads > 1 && slots.size() > 1)
+    pool.emplace(std::min(threads, slots.size()) - 1);
+  const auto for_each_index =
+      [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
+        if (pool) {
+          pool->parallel_for(n, body);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) body(i);
+        }
+      };
+  for_each_index(slots.size(), measure_slot);
 
   // Attribute cache hits/misses by replaying each cell's recorded key
   // sequence through a simulated LRU in slot order — exactly what the
@@ -309,16 +340,30 @@ Report Study::run(const StudyOptions& opts) const {
     }
   }
 
-  // Serial assembly in insertion order: comparisons and emission read the
-  // measured models single-threadedly, so the report is byte-identical to
-  // the serial pass.
+  // Accuracy checks, on the same workers: every non-reference cell against
+  // its scenario's reference, written to the cell's own slot. The models
+  // are only read here (the reference by several workers at once).
+  const std::size_t others = backends_.size() - 1;
+  std::vector<std::optional<ErrorStats>> errors(slots.size());
+  if (compare && others > 0) {
+    for_each_index(scenarios_.size() * others, [&](std::size_t i) {
+      const std::size_t ref_slot = i / others * backends_.size();
+      const std::size_t slot = ref_slot + 1 + i % others;
+      if (usable(measured[ref_slot]) && usable(measured[slot]))
+        errors[slot] = compare_cell(*measured[ref_slot].model,
+                                    *measured[slot].model);
+    });
+  }
+
+  // Serial assembly in insertion order from the slot-keyed measurements
+  // and checks, so the report is byte-identical to the serial pass.
   for (std::size_t s = 0; s < scenarios_.size(); ++s) {
     MeasuredCell* const base = &measured[s * backends_.size()];
     MeasuredCell& ref = base[0];
     // A failed reference cell has no traces or wall time to compare
     // against: the scenario's other cells keep their own metrics but the
     // ratios, speed-ups and accuracy stay at their unknown defaults.
-    const bool ref_ok = !ref.cell.failed && ref.model != nullptr;
+    const bool ref_ok = usable(ref);
     ref.cell.is_reference = true;
     if (ref_ok) {
       ref.cell.speedup_vs_reference = 1.0;
@@ -326,19 +371,11 @@ Report Study::run(const StudyOptions& opts) const {
       ref.cell.kernel_event_ratio_vs_reference = 1.0;
     }
 
-    // One sorted copy of the reference usage serves every comparison.
-    trace::UsageTraceSet ref_usage_sorted;
-    if (compare && ref_ok && backends_.size() > 1) {
-      ref_usage_sorted = ref.model->usage();
-      ref_usage_sorted.sort_all();
-    }
-
     std::vector<Cell> row;
     for (std::size_t r = 1; r < backends_.size(); ++r) {
       MeasuredCell& mc = base[r];
       Cell& cell = mc.cell;
-      const bool cell_ok = !cell.failed && mc.model != nullptr;
-      if (ref_ok && cell_ok) {
+      if (ref_ok && usable(mc)) {
         cell.speedup_vs_reference =
             cell.metrics.wall_seconds > 0.0
                 ? ref.cell.metrics.wall_seconds / cell.metrics.wall_seconds
@@ -348,24 +385,7 @@ Report Study::run(const StudyOptions& opts) const {
         cell.kernel_event_ratio_vs_reference = ratio(
             ref.cell.metrics.kernel_events, cell.metrics.kernel_events);
       }
-      if (compare && ref_ok && cell_ok) {
-        ErrorStats errors;
-        errors.instant_mismatch = trace::compare_instants(
-            ref.model->instants(), mc.model->instants());
-        // Backends that record no usage by design (loosely-timed) are not
-        // marked mismatching for it; absence of data is not a difference.
-        if (mc.model->records_usage()) {
-          trace::UsageTraceSet bu = mc.model->usage();
-          bu.sort_all();
-          errors.usage_mismatch = trace::compare_usage(ref_usage_sorted, bu);
-        }
-        const trace::InstantErrorStats mag = trace::instant_error_stats(
-            ref.model->instants(), mc.model->instants());
-        errors.max_abs_seconds = mag.max_abs_seconds;
-        errors.mean_abs_seconds = mag.mean_abs_seconds;
-        errors.instants_compared = mag.instants;
-        cell.errors = std::move(errors);
-      }
+      cell.errors = std::move(errors[s * backends_.size() + r]);
       row.push_back(std::move(cell));
     }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -159,20 +159,167 @@ std::vector<RatePoint> UsageTrace::windowed_rate(Duration bin) const {
   return out;
 }
 
+namespace {
+
+/// One interval as a key of the canonical order (start, end, label, ops).
+/// The label is its rank in a sorted label table, so ordering compares
+/// integers only; `row` is the interval's emission index.
+struct CanonicalKey {
+  std::int64_t start;
+  std::int64_t end;
+  std::int64_t ops;
+  std::int32_t rank;
+  std::uint32_t row;
+};
+
+bool canonical_less(const CanonicalKey& a, const CanonicalKey& b) {
+  if (a.start != b.start) return a.start < b.start;
+  if (a.end != b.end) return a.end < b.end;
+  if (a.rank != b.rank) return a.rank < b.rank;
+  return a.ops < b.ops;
+}
+
+bool same_key(const CanonicalKey& a, const CanonicalKey& b) {
+  return a.start == b.start && a.end == b.end && a.rank == b.rank &&
+         a.ops == b.ops;
+}
+
+/// Ranks of the labels of \p a and \p b in the sorted union of both
+/// tables: equal ranks are equal strings, and rank order is string order.
+struct LabelRanks {
+  std::vector<std::int32_t> a;
+  std::vector<std::int32_t> b;
+};
+
+LabelRanks label_ranks(const std::vector<std::string>& a,
+                       const std::vector<std::string>& b) {
+  std::vector<const std::string*> table;
+  table.reserve(a.size() + b.size());
+  for (const std::string& l : a) table.push_back(&l);
+  for (const std::string& l : b) table.push_back(&l);
+  const auto less = [](const std::string* x, const std::string* y) {
+    return *x < *y;
+  };
+  std::sort(table.begin(), table.end(), less);
+  table.erase(std::unique(table.begin(), table.end(),
+                          [](const std::string* x, const std::string* y) {
+                            return *x == *y;
+                          }),
+              table.end());
+  const auto rank_all = [&](const std::vector<std::string>& labels) {
+    std::vector<std::int32_t> ranks;
+    ranks.reserve(labels.size());
+    for (const std::string& l : labels)
+      ranks.push_back(static_cast<std::int32_t>(
+          std::lower_bound(table.begin(), table.end(), &l, less) -
+          table.begin()));
+    return ranks;
+  };
+  return {rank_all(a), rank_all(b)};
+}
+
+[[noreturn]] void throw_bad_label(const UsageTrace& t) {
+  throw Error("UsageTrace '" + t.resource() + "': bad label id");
+}
+
+std::int32_t rank_of(const UsageTrace& t, const std::vector<std::int32_t>& ranks,
+                     std::int32_t id) {
+  if (static_cast<std::uint32_t>(id) >= ranks.size()) throw_bad_label(t);
+  return ranks[static_cast<std::uint32_t>(id)];
+}
+
+/// Sort into canonical order in O(n + inversions) when the input is nearly
+/// sorted: insertion sort with a budget of n moves, after which std::sort
+/// takes over, so no input costs more than O(n log n).
+void canonical_sort(std::vector<CanonicalKey>& keys) {
+  std::size_t budget = keys.size();
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    if (!canonical_less(keys[i], keys[i - 1])) continue;
+    const CanonicalKey x = keys[i];
+    std::size_t j = i;
+    for (; j > 0 && canonical_less(x, keys[j - 1]); --j) {
+      if (budget == 0) {
+        keys[j] = x;
+        std::sort(keys.begin(), keys.end(), canonical_less);
+        return;
+      }
+      --budget;
+      keys[j] = keys[j - 1];
+    }
+    keys[j] = x;
+  }
+}
+
+/// The intervals of \p t as keys, in canonical order.
+std::vector<CanonicalKey> canonical_keys(const UsageTrace& t,
+                                         const std::vector<std::int32_t>& ranks) {
+  if (t.size() > std::numeric_limits<std::uint32_t>::max())
+    throw Error("UsageTrace '" + t.resource() + "': too many intervals");
+  const TimePoint* starts = t.starts().data();
+  const TimePoint* ends = t.ends().data();
+  const std::int64_t* ops = t.ops().data();
+  const std::int32_t* ids = t.label_ids().data();
+  std::vector<CanonicalKey> keys;
+  keys.reserve(t.size());
+  for (std::size_t i = 0; i < t.size(); ++i)
+    keys.push_back({starts[i].count(), ends[i].count(), ops[i],
+                    rank_of(t, ranks, ids[i]), static_cast<std::uint32_t>(i)});
+  canonical_sort(keys);
+  return keys;
+}
+
+/// True when \p a and \p b hold the same intervals in the same emission
+/// order (then their canonical orders agree too).
+bool same_rows(const UsageTrace& a, const UsageTrace& b,
+               const LabelRanks& ranks) {
+  const TimePoint* as = a.starts().data();
+  const TimePoint* bs = b.starts().data();
+  const TimePoint* ae = a.ends().data();
+  const TimePoint* be = b.ends().data();
+  const std::int64_t* ao = a.ops().data();
+  const std::int64_t* bo = b.ops().data();
+  const std::int32_t* al = a.label_ids().data();
+  const std::int32_t* bl = b.label_ids().data();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (as[i] != bs[i] || ae[i] != be[i] || ao[i] != bo[i] ||
+        rank_of(a, ranks.a, al[i]) != rank_of(b, ranks.b, bl[i]))
+      return false;
+  return true;
+}
+
+/// compare_usage() for one resource whose traces have equal sizes.
+std::optional<std::string> compare_trace(const std::string& name,
+                                         const UsageTrace& a,
+                                         const UsageTrace& b) {
+  const LabelRanks ranks = label_ranks(a.labels(), b.labels());
+  if (same_rows(a, b, ranks)) return std::nullopt;
+  const std::vector<CanonicalKey> ka = canonical_keys(a, ranks.a);
+  const std::vector<CanonicalKey> kb = canonical_keys(b, ranks.b);
+  for (std::size_t i = 0; i < ka.size(); ++i) {
+    if (same_key(ka[i], kb[i])) continue;
+    const std::size_t ra = ka[i].row;
+    const std::size_t rb = kb[i].row;
+    return format(
+        "resource '%s': interval %zu differs: [%s,%s) ops=%lld '%s' vs "
+        "[%s,%s) ops=%lld '%s'",
+        name.c_str(), i, a.starts()[ra].to_string().c_str(),
+        a.ends()[ra].to_string().c_str(), static_cast<long long>(a.ops()[ra]),
+        a.label(a.label_ids()[ra]).c_str(), b.starts()[rb].to_string().c_str(),
+        b.ends()[rb].to_string().c_str(), static_cast<long long>(b.ops()[rb]),
+        b.label(b.label_ids()[rb]).c_str());
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 void UsageTrace::sort() {
-  std::vector<std::size_t> perm(size());
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::sort(perm.begin(), perm.end(), [this](std::size_t a, std::size_t b) {
-    if (starts_[a] != starts_[b]) return starts_[a] < starts_[b];
-    if (ends_[a] != ends_[b]) return ends_[a] < ends_[b];
-    const std::string& la = labels_[static_cast<std::size_t>(label_ids_[a])];
-    const std::string& lb = labels_[static_cast<std::size_t>(label_ids_[b])];
-    if (la != lb) return la < lb;
-    return ops_[a] < ops_[b];
-  });
-  const auto apply = [&perm](auto& column) {
+  const std::vector<CanonicalKey> keys =
+      canonical_keys(*this, label_ranks(labels_, {}).a);
+  const auto apply = [&keys](auto& column) {
     auto sorted = column;
-    for (std::size_t i = 0; i < perm.size(); ++i) sorted[i] = column[perm[i]];
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      sorted[i] = column[keys[i].row];
     column = std::move(sorted);
   };
   apply(starts_);
@@ -205,24 +352,8 @@ std::optional<std::string> compare_usage(const UsageTraceSet& ref,
     if (a.size() != b->size())
       return format("resource '%s': %zu vs %zu intervals", name.c_str(),
                     a.size(), b->size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      // Columnar comparison; labels compare by string (intern ids are
-      // per-trace and need not align).
-      const std::string& la = a.label(a.label_ids()[i]);
-      const std::string& lb = b->label(b->label_ids()[i]);
-      if (a.starts()[i] != b->starts()[i] || a.ends()[i] != b->ends()[i] ||
-          a.ops()[i] != b->ops()[i] || la != lb) {
-        return format(
-            "resource '%s': interval %zu differs: [%s,%s) ops=%lld '%s' vs "
-            "[%s,%s) ops=%lld '%s'",
-            name.c_str(), i, a.starts()[i].to_string().c_str(),
-            a.ends()[i].to_string().c_str(),
-            static_cast<long long>(a.ops()[i]), la.c_str(),
-            b->starts()[i].to_string().c_str(),
-            b->ends()[i].to_string().c_str(),
-            static_cast<long long>(b->ops()[i]), lb.c_str());
-      }
-    }
+    if (std::optional<std::string> diff = compare_trace(name, a, *b))
+      return diff;
   }
   return std::nullopt;
 }

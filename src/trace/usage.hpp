@@ -57,6 +57,10 @@ class UsageTrace {
   std::int32_t intern_label(const std::string& label);
   /// Label string of an interned id.
   [[nodiscard]] const std::string& label(std::int32_t id) const;
+  /// The intern table: label(id) == labels()[id].
+  [[nodiscard]] const std::vector<std::string>& labels() const {
+    return labels_;
+  }
 
   /// Hot-path append: columnar, no allocation beyond vector growth.
   void push(TimePoint start, TimePoint end, std::int64_t ops,
@@ -102,7 +106,10 @@ class UsageTrace {
   /// span_end(); interval ops are apportioned linearly across windows.
   [[nodiscard]] std::vector<RatePoint> windowed_rate(Duration bin) const;
 
-  /// Normalize for comparison: sort by (start, end, label, ops).
+  /// Reorder the intervals into the canonical order (start, end, label,
+  /// ops), labels compared as strings. O(n + inversions) on nearly sorted
+  /// emission orders, O(n log n) at worst. compare_usage() does not need
+  /// it; it is for readers that want the rows in time order.
   void sort();
 
  private:
@@ -126,16 +133,26 @@ class UsageTraceSet {
   [[nodiscard]] const std::map<std::string, UsageTrace>& all() const {
     return set_;
   }
-  /// Sort every trace (call before comparing).
+  /// Sort every trace into the canonical order (UsageTrace::sort()).
   void sort_all();
 
  private:
   std::map<std::string, UsageTrace> set_;
 };
 
-/// Structural equality of two usage trace sets (after sorting), restricted
-/// to the resources present in \p ref. nullopt when identical, otherwise a
+/// Structural equality of two usage trace sets, restricted to the resources
+/// present in \p ref: nullopt when every trace of \p ref holds the same
+/// multiset of intervals as its namesake in \p other, otherwise a
 /// description of the first difference.
+///
+/// The check is insensitive to emission order and copies neither set: its
+/// result is exactly that of comparing the two sets after sort_all(), and
+/// an "interval i differs" message counts i in the canonical order, so
+/// callers need not sort first. Two traces emitted in the same order cost
+/// one linear pass over the columns; otherwise each side's canonical order
+/// is built as a flat key array (O(n + inversions) when nearly sorted).
+/// Reads only the const columns (never the intervals() view), so several
+/// threads may compare against one reference concurrently.
 [[nodiscard]] std::optional<std::string> compare_usage(const UsageTraceSet& ref,
                                                        const UsageTraceSet& other);
 

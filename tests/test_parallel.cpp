@@ -247,6 +247,35 @@ TEST(ParallelStudyTest, RepeatedRunsMatchSerialByteForByte) {
   }
 }
 
+TEST(ParallelStudyTest, MismatchesAndFailuresMatchSerialByteForByte) {
+  // The accuracy checks run on the matrix's workers. With mismatch
+  // strings, non-zero error magnitudes and failed cells in the report, its
+  // bytes must still not depend on the thread count.
+  study::Study st = matrix_study();
+  st.add(Backend::loosely_timed(Duration::us(10)));  // instants drift
+  st.add(Backend::loosely_timed(Duration::ps(0)));   // zero quantum: fails
+  StudyOptions opts;
+  opts.isolate_failures = true;
+  const Report serial = st.run(opts);
+  for (const std::string& scenario : serial.scenarios) {
+    const study::Cell& lt = serial.at(scenario, "lt(10us)");
+    ASSERT_TRUE(lt.errors.has_value()) << scenario;
+    EXPECT_TRUE(lt.errors->instant_mismatch.has_value()) << scenario;
+    EXPECT_GT(lt.errors->max_abs_seconds, 0.0) << scenario;
+    EXPECT_TRUE(serial.at(scenario, "equivalent").errors->exact());
+    EXPECT_TRUE(serial.at(scenario, "lt(0ps)").failed) << scenario;
+  }
+  const std::string ref_json = blank_walls(serial).to_json();
+
+  for (const int threads : {1, 2, 8}) {
+    opts.threads = threads;
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(blank_walls(st.run(opts)).to_json(), ref_json)
+          << "threads=" << threads << " round=" << round;
+    }
+  }
+}
+
 TEST(ParallelStudyTest, PerCellKernelStatsAreIndependent) {
   // Each cell's counters come from that cell's own kernel; a parallel
   // measure phase must not leak or aggregate counts across cells.
