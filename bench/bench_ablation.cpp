@@ -14,8 +14,8 @@
 #include <cstdio>
 
 #include "core/equivalent_model.hpp"
-#include "core/experiment.hpp"
 #include "gen/didactic.hpp"
+#include "study/experiment.hpp"
 #include "trace/instants.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/export.hpp"
@@ -119,12 +119,12 @@ int main(int argc, char** argv) {
   const model::ArchitectureDesc sdesc = gen::make_didactic(scfg);
   ConsoleTable t4({"per-event cost", "speed-up", "kernel-event ratio"});
   for (double ns : {0.0, 250.0, 1000.0, 4000.0}) {
-    core::ExperimentOptions opts;
+    study::ExperimentOptions opts;
     opts.repetitions = 1;
     opts.observe = false;
     opts.compare_traces = false;
     opts.event_overhead_ns = ns;
-    const core::Comparison cmp = core::run_comparison(sdesc, opts);
+    const core::Comparison cmp = study::run_comparison(sdesc, opts);
     t4.add_row({ns == 0.0 ? "native" : format("+%.0fns", ns),
                 format("%.2f", cmp.speedup),
                 format("%.2f", cmp.kernel_event_ratio)});

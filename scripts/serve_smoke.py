@@ -12,9 +12,11 @@ Drives the serving binary through its line-delimited JSON protocol:
   3. The protocol run submits the scenario, feeds the tokens across
      several feed/poll rounds, checkpoints mid-stream, restores the
      checkpoint into a fresh session, and finishes feeding there.
-  4. A hostile line, HOSTILE_DEPTH unclosed '[', must come back as an
-     in-band `ok: false` error, and the same process must still answer
-     `stats`.
+  4. Hostile lines must come back as in-band `ok: false` errors, and the
+     same process must still answer `stats`: HOSTILE_DEPTH unclosed '[';
+     and, right after the restore, a feed with its members reordered and a
+     token repeating `earliest_ps`, a token with 3 params, and a restore
+     from a checkpoint cut to 3 params. None of them may feed anything.
 
 The accumulated poll deltas (original session up to the checkpoint, the
 restored session after it) must reassemble, instant for instant and busy
@@ -37,6 +39,54 @@ HOSTILE_DEPTH = 200_000  # far past the parser's nesting bound
 def fail(msg):
     print(f"serve_smoke: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def expect_error(server, line, what, needle):
+    """Send a line the server must reject in band with \p needle."""
+    reply = server.send_line(line, what)
+    if reply.get("ok") is not False:
+        fail(f"{what} was not rejected in band: {reply}")
+    if needle not in reply.get("error", ""):
+        fail(f"{what}: error {reply.get('error')!r} lacks {needle!r}")
+
+
+def hostile_lines(server, ckpt, source, token):
+    """Reject malformed feeds and restores without feeding anything."""
+    # Members in reverse order, and a token that repeats a key: the
+    # duplicate is written by hand, since a dict cannot hold it.
+    body = json.dumps(token)[:-1] + ', "earliest_ps": ' + str(
+        token["earliest_ps"]
+    )
+    expect_error(
+        server,
+        '{"tokens": [' + body + '}], "source": ' + str(source)
+        + ', "session": "smoke", "cmd": "feed"}',
+        "feed repeating earliest_ps",
+        "duplicate object key",
+    )
+    short = dict(token)
+    short["attrs"] = dict(token["attrs"], params=token["attrs"]["params"][:3])
+    expect_error(
+        server,
+        json.dumps(
+            {"cmd": "feed", "session": "smoke", "source": source,
+             "tokens": [short]}
+        ),
+        "feed with 3 params",
+        "params must be an array of 4",
+    )
+    doc = json.loads(ckpt)
+    cut = next(s for s in doc["streams"] if s["attrs"])
+    cut["attrs"][0]["params"] = cut["attrs"][0]["params"][:3]
+    expect_error(
+        server,
+        json.dumps(
+            {"cmd": "restore", "session": "cut",
+             "checkpoint": json.dumps(doc)}
+        ),
+        "restore with 3 params",
+        "params must be an array of 4",
+    )
 
 
 class Server:
@@ -164,6 +214,8 @@ def main():
                     "checkpoint": ckpt["checkpoint"],
                 }
             )
+            source, toks = next((c for c in chunks[r + 1] if c[1]))
+            hostile_lines(server, ckpt["checkpoint"], source, toks[0])
 
     # Every stream is fully fed now: a final poll runs to completion.
     delta = server.request({"cmd": "poll", "session": "smoke"})
@@ -204,7 +256,7 @@ def main():
         f"serve_smoke: OK — {n_instants} instants over "
         f"{len(state['instants'])} series, {polls} polls, "
         f"1 checkpoint/restore, bit-identical to one-shot, hostile "
-        f"nesting rejected in band (cache: {stats['cache']})"
+        f"lines rejected in band (cache: {stats['cache']})"
     )
 
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "serve/decode.hpp"
 #include "sim/diagnostics.hpp"
 #include "util/json.hpp"
 
@@ -22,34 +23,6 @@ const std::string& session_name(const JsonValue& req) {
   return s->as_string();
 }
 
-model::TokenAttrs parse_token_attrs(const JsonValue& v) {
-  model::TokenAttrs a;
-  a.size = v.at("size").as_int64();
-  const JsonValue& params = v.at("params");
-  if (!params.is_array() || params.size() != a.params.size())
-    throw SessionError("protocol: token attrs params must be an array of " +
-                       std::to_string(a.params.size()));
-  for (std::size_t i = 0; i < a.params.size(); ++i)
-    a.params[i] = params[i].as_double();
-  return a;
-}
-
-std::vector<Session::FedToken> parse_tokens(const JsonValue& req) {
-  const JsonValue& arr = req.at("tokens");
-  if (!arr.is_array())
-    throw SessionError("protocol: 'tokens' must be an array");
-  std::vector<Session::FedToken> tokens;
-  tokens.reserve(arr.size());
-  for (const JsonValue& t : arr.items()) {
-    Session::FedToken tok;
-    tok.earliest_ps = t.at("earliest_ps").as_int64();
-    if (const JsonValue* attrs = t.find("attrs"); attrs && !attrs->is_null())
-      tok.attrs = parse_token_attrs(*attrs);
-    tokens.push_back(std::move(tok));
-  }
-  return tokens;
-}
-
 void write_delta(JsonWriter& w, const Session::Delta& d) {
   w.field("ok", true);
   w.field("ran", d.ran);
@@ -63,9 +36,8 @@ void write_delta(JsonWriter& w, const Session::Delta& d) {
     w.begin_object();
     w.field("series", s.series);
     w.field("start_k", s.start_k);
-    w.key("instants_ps").begin_array();
-    for (const std::int64_t t : s.instants_ps) w.value(t);
-    w.end_array().end_object();
+    w.key("instants_ps").int64_array(s.instants_ps);
+    w.end_object();
   }
   w.end_array();
   w.key("usage").begin_array();
@@ -73,15 +45,9 @@ void write_delta(JsonWriter& w, const Session::Delta& d) {
     w.begin_object();
     w.field("resource", u.resource);
     w.field("start_index", u.start_index);
-    w.key("starts_ps").begin_array();
-    for (const std::int64_t t : u.starts_ps) w.value(t);
-    w.end_array();
-    w.key("ends_ps").begin_array();
-    for (const std::int64_t t : u.ends_ps) w.value(t);
-    w.end_array();
-    w.key("ops").begin_array();
-    for (const std::int64_t n : u.ops) w.value(n);
-    w.end_array();
+    w.key("starts_ps").int64_array(u.starts_ps);
+    w.key("ends_ps").int64_array(u.ends_ps);
+    w.key("ops").int64_array(u.ops);
     w.key("labels").begin_array();
     for (const std::string& l : u.labels) w.value(l);
     w.end_array().end_object();
@@ -100,7 +66,10 @@ Server::Server(Options opts)
 
 std::string Server::handle(std::string_view line) {
   try {
-    const JsonValue req = json_parse(line);
+    // One pass over the line; shape faults in `tokens` wait for the walk
+    // below, so grammar errors anywhere in the line come first.
+    const Request request = read_request(line);
+    const JsonValue& req = request.fields;
     const JsonValue* cmd = req.find("cmd");
     if (cmd == nullptr || !cmd->is_string())
       throw SessionError("protocol: request needs a string 'cmd'");
@@ -174,8 +143,9 @@ std::string Server::handle(std::string_view line) {
     if (verb == "feed") {
       const std::size_t source =
           static_cast<std::size_t>(req.at("source").as_uint64());
-      const std::vector<Session::FedToken> tokens = parse_tokens(req);
-      session.feed(source, tokens);
+      (void)req.at("tokens");
+      request.tokens_fault.rethrow();
+      session.feed(source, request.tokens);
       JsonWriter w;
       w.begin_object()
           .field("ok", true)

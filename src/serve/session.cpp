@@ -3,6 +3,8 @@
 #include <limits>
 #include <utility>
 
+#include "serve/decode.hpp"
+
 namespace maxev::serve {
 
 namespace {
@@ -207,9 +209,7 @@ std::string Session::checkpoint() const {
   for (const auto& stream : streams_) {
     w.begin_object();
     w.field("source", static_cast<std::uint64_t>(stream->source_index));
-    w.key("earliest_ps").begin_array();
-    for (const std::int64_t t : stream->earliest_ps) w.value(t);
-    w.end_array();
+    w.key("earliest_ps").int64_array(stream->earliest_ps);
     w.key("attrs").begin_array();
     for (const model::TokenAttrs& a : stream->attrs) {
       w.begin_object().field("size", a.size).key("params").begin_array();
@@ -245,12 +245,13 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json) {
 
 std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
                                           Options opts) {
-  JsonValue doc;
+  Checkpoint cp;
   try {
-    doc = json_parse(checkpoint_json);
+    cp = read_checkpoint(checkpoint_json);
   } catch (const Error& e) {
     throw SessionError(std::string("restore: ") + e.what());
   }
+  const JsonValue& doc = cp.fields;
   if (!doc.is_object() || doc.find("maxev_checkpoint") == nullptr)
     throw SessionError("restore: not a maxev_checkpoint document");
   if (!doc.at("maxev_checkpoint").is_int64() ||
@@ -260,25 +261,13 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
   auto session = std::make_unique<Session>(
       doc.at("scenario_json").as_string(), opts);
 
-  const JsonValue& streams = doc.at("streams");
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    const JsonValue& s = streams[i];
-    const JsonValue& earliest = s.at("earliest_ps");
-    const JsonValue& attrs = s.at("attrs");
-    if (earliest.size() != attrs.size())
-      throw SessionError("restore: stream token arrays disagree in length");
-    std::vector<FedToken> tokens(earliest.size());
-    for (std::size_t k = 0; k < earliest.size(); ++k) {
-      tokens[k].earliest_ps = earliest[k].as_int64();
-      const JsonValue& a = attrs[k];
-      tokens[k].attrs.size = a.at("size").as_int64();
-      const JsonValue& params = a.at("params");
-      for (std::size_t p = 0;
-           p < tokens[k].attrs.params.size() && p < params.size(); ++p)
-        tokens[k].attrs.params[p] = params[p].as_double();
-    }
-    session->feed(static_cast<std::size_t>(s.at("source").as_uint64()),
-                  tokens);
+  // The streams were decoded with the feed rules; their faults surface
+  // here, in the order a walk over the document meets them.
+  (void)doc.at("streams");
+  cp.streams_fault.rethrow();
+  for (const CheckpointStream& s : cp.streams) {
+    s.fault.rethrow();
+    session->feed(s.source, s.tokens);
   }
 
   // Replay the advance. Incremental horizon-resume is pinned bit-identical

@@ -1,4 +1,4 @@
-#include "core/experiment.hpp"
+#include "study/experiment.hpp"
 
 #include <utility>
 
@@ -6,56 +6,55 @@
 #include "util/error.hpp"
 
 /// \file experiment.cpp
-/// core::run_comparison / core::measure_baseline as thin wrappers over
-/// study::Study. They live in the study module (not src/core) because the
-/// delegation points up the module DAG: core provides the models, study
-/// orchestrates them. Behavior is identical to the historical direct
-/// implementation — same run order (all baseline repetitions, then all
-/// equivalent repetitions; rep-0 traces kept), same median/ratio formulas,
-/// same exception types and messages, bit-identical traces.
+/// run_comparison / measure_baseline as thin wrappers over study::Study:
+/// core provides the models, study orchestrates them. Behavior is identical
+/// to the historical direct implementation — same run order (all baseline
+/// repetitions, then all equivalent repetitions; rep-0 traces kept), same
+/// median/ratio formulas, same exception types and messages, bit-identical
+/// traces.
 
-namespace maxev::core {
+namespace maxev::study {
 
-RunMetrics measure_baseline(const model::ArchitectureDesc& desc,
-                            int repetitions) {
+core::RunMetrics measure_baseline(const model::ArchitectureDesc& desc,
+                                  int repetitions) {
   if (repetitions < 1) throw Error("measure_baseline: repetitions must be >= 1");
-  study::Study st;
-  st.add(study::Scenario("baseline", desc));
-  st.add(study::Backend::baseline());
-  study::StudyOptions opts;
+  Study st;
+  st.add(Scenario("baseline", desc));
+  st.add(Backend::baseline());
+  StudyOptions opts;
   opts.repetitions = repetitions;
   opts.compare_traces = false;
-  const study::Report report = st.run(opts);
+  const Report report = st.run(opts);
   return report.cells.front().metrics;
 }
 
-Comparison run_comparison(const model::ArchitectureDesc& desc,
-                          const ExperimentOptions& opts) {
+core::Comparison run_comparison(const model::ArchitectureDesc& desc,
+                                const ExperimentOptions& opts) {
   if (opts.repetitions < 1)
     throw Error("run_comparison: repetitions must be >= 1");
 
-  study::Scenario scenario("comparison", desc);
+  Scenario scenario("comparison", desc);
   scenario.with_group(opts.group)
       .with_fold(opts.fold)
       .with_pad_nodes(opts.pad_nodes);
 
-  study::Study st;
+  Study st;
   st.add(std::move(scenario));
-  st.add(study::Backend::baseline());
-  st.add(study::Backend::equivalent());
+  st.add(Backend::baseline());
+  st.add(Backend::equivalent());
 
-  study::StudyOptions sopts;
+  StudyOptions sopts;
   sopts.repetitions = opts.repetitions;
   sopts.observe = opts.observe;
   sopts.compare_traces = opts.compare_traces;
   sopts.require_completion = opts.require_completion;
   sopts.event_overhead_ns = opts.event_overhead_ns;
-  const study::Report report = st.run(sopts);
+  const Report report = st.run(sopts);
 
-  const study::Cell* base = report.find("comparison", "baseline");
-  const study::Cell* eq = report.find("comparison", "equivalent");
+  const Cell* base = report.find("comparison", "baseline");
+  const Cell* eq = report.find("comparison", "equivalent");
 
-  Comparison cmp;
+  core::Comparison cmp;
   cmp.baseline = base->metrics;
   cmp.equivalent = eq->metrics;
   cmp.speedup = eq->speedup_vs_reference;
@@ -71,4 +70,4 @@ Comparison run_comparison(const model::ArchitectureDesc& desc,
   return cmp;
 }
 
-}  // namespace maxev::core
+}  // namespace maxev::study

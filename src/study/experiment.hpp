@@ -3,9 +3,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/equivalent_model.hpp"
 #include "core/metrics.hpp"
-#include "model/baseline.hpp"
 #include "model/desc.hpp"
 
 /// \file experiment.hpp
@@ -19,15 +17,11 @@
 /// evolution instants and resource-usage traces are identical.
 ///
 /// Both functions are thin wrappers over study::Study (src/study/study.hpp):
-/// a comparison is a two-backend study with the baseline as reference. They
-/// are deliberately *implemented* in the study module
-/// (src/study/experiment.cpp) because the delegation points up the module
-/// DAG — link the `maxev` umbrella target (or maxev_study) to get them;
-/// maxev_core alone does not carry these symbols. Use the study API
-/// directly for wider matrices — more backends, many scenarios,
-/// multi-instance composition.
+/// a comparison is a two-backend study with the baseline as reference. Use
+/// the study API directly for wider matrices — more backends, many
+/// scenarios, multi-instance composition.
 
-namespace maxev::core {
+namespace maxev::study {
 
 struct ExperimentOptions {
   /// Abstraction group (empty = abstract every function).
@@ -51,11 +45,11 @@ struct ExperimentOptions {
 };
 
 /// Run one measured run of the baseline model only.
-[[nodiscard]] RunMetrics measure_baseline(const model::ArchitectureDesc& desc,
-                                          int repetitions = 3);
+[[nodiscard]] core::RunMetrics measure_baseline(
+    const model::ArchitectureDesc& desc, int repetitions = 3);
 
 /// Run the full paired comparison.
-[[nodiscard]] Comparison run_comparison(const model::ArchitectureDesc& desc,
-                                        const ExperimentOptions& opts = {});
+[[nodiscard]] core::Comparison run_comparison(
+    const model::ArchitectureDesc& desc, const ExperimentOptions& opts = {});
 
-}  // namespace maxev::core
+}  // namespace maxev::study

@@ -13,9 +13,9 @@
 /// whole design space) and returns a structured Report. One backend is the
 /// *reference*: every other backend's traces are compared against it (the
 /// paper's accuracy criterion) and its wall time is the speed-up
-/// denominator. core::run_comparison() is a thin wrapper over a two-backend
-/// study; the design-space and multi-instance examples drive wider
-/// matrices through the same API.
+/// denominator. run_comparison() (study/experiment.hpp) is a thin wrapper
+/// over a two-backend study; the design-space and multi-instance examples
+/// drive wider matrices through the same API.
 
 namespace maxev::study {
 

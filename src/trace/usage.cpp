@@ -228,9 +228,47 @@ std::int32_t rank_of(const UsageTrace& t, const std::vector<std::int32_t>& ranks
   return ranks[static_cast<std::uint32_t>(id)];
 }
 
+/// Natural runs that canonical_sort merges instead of sorting.
+constexpr std::size_t kMaxMergedRuns = 64;
+
+/// Sort \p keys by merging its ascending runs pairwise through one buffer
+/// in O(n log runs) when there are at most kMaxMergedRuns of them (the
+/// adaptive backend appends each fast-forwarded tail as one sorted run),
+/// else with std::sort.
+void merge_runs_or_sort(std::vector<CanonicalKey>& keys) {
+  std::vector<std::size_t> runs{0};  // run starts, then the end
+  for (std::size_t i = 1; i < keys.size() && runs.size() <= kMaxMergedRuns;
+       ++i)
+    if (canonical_less(keys[i], keys[i - 1])) runs.push_back(i);
+  if (runs.size() > kMaxMergedRuns) {
+    std::sort(keys.begin(), keys.end(), canonical_less);
+    return;
+  }
+  runs.push_back(keys.size());
+  const auto at = [](std::vector<CanonicalKey>& v, std::size_t i) {
+    return v.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::vector<CanonicalKey> merged(keys.size());
+  while (runs.size() > 2) {
+    std::vector<std::size_t> next;
+    for (std::size_t r = 0; r + 1 < runs.size(); r += 2) {
+      next.push_back(runs[r]);
+      if (r + 2 < runs.size())
+        std::merge(at(keys, runs[r]), at(keys, runs[r + 1]),
+                   at(keys, runs[r + 1]), at(keys, runs[r + 2]),
+                   at(merged, runs[r]), canonical_less);
+      else
+        std::copy(at(keys, runs[r]), keys.end(), at(merged, runs[r]));
+    }
+    next.push_back(keys.size());
+    keys.swap(merged);
+    runs = std::move(next);
+  }
+}
+
 /// Sort into canonical order in O(n + inversions) when the input is nearly
-/// sorted: insertion sort with a budget of n moves, after which std::sort
-/// takes over, so no input costs more than O(n log n).
+/// sorted: insertion sort with a budget of n moves, after which
+/// merge_runs_or_sort takes over, so no input costs more than O(n log n).
 void canonical_sort(std::vector<CanonicalKey>& keys) {
   std::size_t budget = keys.size();
   for (std::size_t i = 1; i < keys.size(); ++i) {
@@ -240,7 +278,7 @@ void canonical_sort(std::vector<CanonicalKey>& keys) {
     for (; j > 0 && canonical_less(x, keys[j - 1]); --j) {
       if (budget == 0) {
         keys[j] = x;
-        std::sort(keys.begin(), keys.end(), canonical_less);
+        merge_runs_or_sort(keys);
         return;
       }
       --budget;

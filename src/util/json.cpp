@@ -134,6 +134,23 @@ JsonWriter& JsonWriter::null_value() {
   return *this;
 }
 
+JsonWriter& JsonWriter::int64_array(std::span<const std::int64_t> v) {
+  comma();
+  // Room for "[]" and, per element, a separator and the longest int64.
+  constexpr std::size_t kMaxChars = 21;
+  const std::size_t old = out_.size();
+  out_.resize(old + 2 + v.size() * kMaxChars);
+  char* p = out_.data() + old;
+  *p++ = '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) *p++ = ',';
+    p = std::to_chars(p, p + kMaxChars, v[i]).ptr;
+  }
+  *p++ = ']';
+  out_.resize(static_cast<std::size_t>(p - out_.data()));
+  return *this;
+}
+
 const std::string& JsonWriter::str() const {
   if (!first_.empty()) throw Error("JsonWriter: unclosed container");
   return out_;
@@ -266,232 +283,355 @@ JsonValue JsonValue::object(std::map<std::string, JsonValue> members) {
   return v;
 }
 
-// ----------------------------------------------------------- json_parse ----
+// ----------------------------------------------------------- JsonReader ----
 
-namespace {
+void JsonReader::fail(const std::string& what) const {
+  throw Error("json_parse: " + what + " at offset " + std::to_string(pos_));
+}
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+inline void JsonReader::skip_ws() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
 
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
+inline char JsonReader::peek_char() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+void JsonReader::expect(char c) {
+  if (peek_char() != c) fail(std::string("expected '") + c + "'");
+  ++pos_;
+}
+
+JsonValue::Kind JsonReader::peek() {
+  skip_ws();
+  switch (peek_char()) {
+    case '{': return JsonValue::Kind::kObject;
+    case '[': return JsonValue::Kind::kArray;
+    case '"': return JsonValue::Kind::kString;
+    case 't':
+    case 'f': return JsonValue::Kind::kBool;
+    case 'n': return JsonValue::Kind::kNull;
+    default: return JsonValue::Kind::kNumber;
+  }
+}
+
+void JsonReader::open(bool object) {
+  skip_ws();
+  const char want = object ? '{' : '[';
+  if (peek_char() != want) fail(std::string("expected '") + want + "'");
+  open_here();
+}
+
+inline void JsonReader::open_here() {
+  // Bounded nesting: a hostile line of brackets must fail in band, not
+  // overflow the stack of a recursive consumer.
+  if (frames_.size() == kJsonMaxDepth)
+    fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+  ++pos_;
+  frames_.emplace_back().keys = n_keys_;
+}
+
+inline void JsonReader::close() {
+  n_keys_ = frames_.back().keys;
+  frames_.pop_back();
+}
+
+void JsonReader::begin_object() { open(true); }
+
+void JsonReader::begin_array() { open(false); }
+
+bool JsonReader::next_key(std::string_view& key) {
+  return next_member(key, true);
+}
+
+inline bool JsonReader::next_member(std::string_view& key, bool track) {
+  Frame& f = frames_.back();
+  // The previous member's value has been read: a repeated key fails here,
+  // just past that value.
+  if (f.repeated) fail("duplicate object key");
+  skip_ws();
+  const char c = peek_char();
+  if (f.first) {
+    f.first = false;
+    if (c == '}') {
+      ++pos_;
+      close();
+      return false;
+    }
+  } else {
+    ++pos_;
+    if (c == '}') {
+      close();
+      return false;
+    }
+    if (c != ',') {
+      --pos_;
+      fail("expected ',' or '}'");
+    }
     skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
   }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw Error("json_parse: " + what + " at offset " + std::to_string(pos_));
+  if (track) {
+    if (n_keys_ == keys_.size()) keys_.emplace_back();
+    std::string& slot = keys_[n_keys_];
+    slot.assign(parse_string());
+    f.repeated = repeats(slot);
+    ++n_keys_;
+    key = slot;
+  } else {
+    key = parse_string();
   }
+  skip_ws();
+  expect(':');
+  return true;
+}
 
-  void skip_ws() {
+bool JsonReader::repeats(std::string_view key) {
+  Frame& f = frames_.back();
+  if (!f.index) {
+    if (n_keys_ - f.keys < kLinearKeys) {
+      for (std::size_t i = f.keys; i < n_keys_; ++i)
+        if (keys_[i] == key) return true;
+      return false;
+    }
+    // A wide object: index its keys instead of scanning them per member.
+    f.index = std::make_unique<std::set<std::string, std::less<>>>(
+        keys_.begin() + static_cast<std::ptrdiff_t>(f.keys),
+        keys_.begin() + static_cast<std::ptrdiff_t>(n_keys_));
+  }
+  return !f.index->emplace(key).second;
+}
+
+bool JsonReader::next_item() {
+  Frame& f = frames_.back();
+  skip_ws();
+  const char c = peek_char();
+  if (f.first) {
+    f.first = false;
+    if (c != ']') return true;
+    ++pos_;
+    close();
+    return false;
+  }
+  ++pos_;
+  if (c == ',') return true;
+  if (c == ']') {
+    close();
+    return false;
+  }
+  --pos_;
+  fail("expected ',' or ']'");
+}
+
+std::string_view JsonReader::read_string() {
+  skip_ws();
+  return parse_string();
+}
+
+std::string_view JsonReader::parse_string() {
+  if (peek_char() != '"') fail("expected string");
+  ++pos_;
+  bool copied = false;  // scratch_ holds the decoded prefix
+  for (;;) {
+    // Take each run of plain bytes whole: a string without escapes is a
+    // view of the input.
+    const std::size_t run = pos_;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      const auto c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
       ++pos_;
     }
+    if (!copied && pos_ < text_.size() && text_[pos_] == '"')
+      return text_.substr(run, pos_++ - run);
+    if (!copied) {
+      scratch_.clear();
+      copied = true;
+    }
+    scratch_.append(text_.data() + run, pos_ - run);
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch_;
+    if (c != '\\') fail("unescaped control character in string");
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case '/': scratch_ += '/'; break;
+      case 'b': scratch_ += '\b'; break;
+      case 'f': scratch_ += '\f'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      case 'u': append_unicode_escape(scratch_); break;
+      default: fail("invalid escape character");
+    }
   }
+}
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
+void JsonReader::append_unicode_escape(std::string& out) {
+  // The writer only emits \u00xx for control characters; decode the BMP
+  // generally (UTF-8) and reject surrogates, which we never produce.
+  if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+  unsigned cp = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text_[pos_++];
+    cp <<= 4;
+    if (c >= '0' && c <= '9') cp |= static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f') cp |= static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') cp |= static_cast<unsigned>(c - 'A' + 10);
+    else fail("invalid \\u escape digit");
   }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
+  if (cp >= 0xD800 && cp <= 0xDFFF) fail("surrogate \\u escape unsupported");
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
   }
+}
 
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
+JsonReader::Number JsonReader::read_number() {
+  skip_ws();
+  return number_here();
+}
 
-  bool digit_at(std::size_t i) const {
+inline JsonReader::Number JsonReader::number_here() {
+  const auto digit_at = [this](std::size_t i) {
     return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{':
-      case '[': {
-        // Bounded recursion: a hostile line of brackets must fail in band,
-        // not overflow the stack.
-        if (depth_ == kJsonMaxDepth)
-          fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
-        ++depth_;
-        JsonValue v = text_[pos_] == '{' ? parse_object() : parse_array();
-        --depth_;
-        return v;
-      }
-      case '"': return JsonValue::string(parse_string());
-      case 't':
-        if (!consume_literal("true")) fail("invalid literal");
-        return JsonValue::boolean(true);
-      case 'f':
-        if (!consume_literal("false")) fail("invalid literal");
-        return JsonValue::boolean(false);
-      case 'n':
-        if (!consume_literal("null")) fail("invalid literal");
-        return JsonValue::null();
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    std::map<std::string, JsonValue> members;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return JsonValue::object(std::move(members));
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      JsonValue v = parse_value();
-      if (!members.emplace(std::move(key), std::move(v)).second)
-        fail("duplicate object key");
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return JsonValue::object(std::move(members));
-      if (c != ',') { --pos_; fail("expected ',' or '}'"); }
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    std::vector<JsonValue> items;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return JsonValue::array(std::move(items));
-    }
-    for (;;) {
-      items.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return JsonValue::array(std::move(items));
-      if (c != ',') { --pos_; fail("expected ',' or ']'"); }
-    }
-  }
-
-  std::string parse_string() {
-    if (peek() != '"') fail("expected string");
+  };
+  const std::size_t start = pos_;
+  if (peek_char() == '-') ++pos_;
+  if (!digit_at(pos_)) fail("invalid number");
+  bool integral = true;
+  while (digit_at(pos_)) ++pos_;
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    integral = false;
     ++pos_;
-    std::string out;
-    for (;;) {
-      // Copy each run of plain bytes with one append.
-      const std::size_t run = pos_;
-      while (pos_ < text_.size()) {
-        const auto c = static_cast<unsigned char>(text_[pos_]);
-        if (c == '"' || c == '\\' || c < 0x20) break;
-        ++pos_;
-      }
-      out.append(text_.data() + run, pos_ - run);
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') fail("unescaped control character in string");
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_unicode_escape(out); break;
-        default: fail("invalid escape character");
-      }
-    }
-  }
-
-  void append_unicode_escape(std::string& out) {
-    // The writer only emits \u00xx for control characters; decode the BMP
-    // generally (UTF-8) and reject surrogates, which we never produce.
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    unsigned cp = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      cp <<= 4;
-      if (c >= '0' && c <= '9') cp |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') cp |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') cp |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("invalid \\u escape digit");
-    }
-    if (cp >= 0xD800 && cp <= 0xDFFF) fail("surrogate \\u escape unsupported");
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (!digit_at(pos_)) fail("invalid number");
-    bool integral = true;
+    if (!digit_at(pos_)) fail("invalid number: digit required after '.'");
     while (digit_at(pos_)) ++pos_;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      if (!digit_at(pos_)) fail("invalid number: digit required after '.'");
-      while (digit_at(pos_)) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      if (!digit_at(pos_)) fail("invalid number: digit required in exponent");
-      while (digit_at(pos_)) ++pos_;
-    }
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    if (integral) {
-      std::int64_t i = 0;
-      const auto r = std::from_chars(first, last, i);
-      if (r.ec == std::errc() && r.ptr == last) return JsonValue::integer(i);
-      // Falls through for out-of-range integers: keep them as doubles.
-    }
-    double d = 0.0;
-    const auto r = std::from_chars(first, last, d);
-    if (r.ec == std::errc::result_out_of_range)
-      // Overflow or underflow: read the literal as strtod does (±HUGE_VAL,
-      // zero or the nearest subnormal).
-      d = std::strtod(std::string(first, last).c_str(), nullptr);
-    else if (r.ec != std::errc() || r.ptr != last)
-      fail("invalid number literal");
-    return JsonValue::number(d);
   }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    integral = false;
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+      ++pos_;
+    if (!digit_at(pos_)) fail("invalid number: digit required in exponent");
+    while (digit_at(pos_)) ++pos_;
+  }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  Number n;
+  if (integral) {
+    const auto r = std::from_chars(first, last, n.i);
+    if (r.ec == std::errc() && r.ptr == last) {
+      n.exact = true;
+      return n;
+    }
+    // Falls through for out-of-range integers: keep them as doubles.
+  }
+  const auto r = std::from_chars(first, last, n.d);
+  if (r.ec == std::errc::result_out_of_range)
+    // Overflow or underflow: read the literal as strtod does (±HUGE_VAL,
+    // zero or the nearest subnormal).
+    n.d = std::strtod(std::string(first, last).c_str(), nullptr);
+  else if (r.ec != std::errc() || r.ptr != last)
+    fail("invalid number literal");
+  return n;
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;  // arrays/objects currently open
-};
+bool JsonReader::read_bool() {
+  skip_ws();
+  for (const bool b : {true, false}) {
+    const std::string_view lit = b ? "true" : "false";
+    if (text_.substr(pos_, lit.size()) == lit) {
+      pos_ += lit.size();
+      return b;
+    }
+  }
+  fail("invalid literal");
+}
 
-}  // namespace
+void JsonReader::read_null() {
+  skip_ws();
+  if (text_.substr(pos_, 4) != "null") fail("invalid literal");
+  pos_ += 4;
+}
+
+JsonValue JsonReader::read_object_value() {
+  open_here();
+  std::map<std::string, JsonValue> members;
+  std::string_view key;
+  while (next_member(key, false)) {
+    std::string k(key);  // the view dies with the next read
+    JsonValue v = read_value();
+    // The tree is this object's key index: a repeated key fails just
+    // past its value, where next_key() fails it.
+    if (!members.emplace(std::move(k), std::move(v)).second)
+      fail("duplicate object key");
+  }
+  return JsonValue::object(std::move(members));
+}
+
+JsonValue JsonReader::read_array_value() {
+  open_here();
+  std::vector<JsonValue> items;
+  while (next_item()) items.push_back(read_value());
+  return JsonValue::array(std::move(items));
+}
+
+JsonValue JsonReader::read_value() {
+  skip_ws();
+  switch (peek_char()) {
+    case '{': return read_object_value();
+    case '[': return read_array_value();
+    case '"': return JsonValue::string(std::string(parse_string()));
+    case 't':
+    case 'f': return JsonValue::boolean(read_bool());
+    case 'n': read_null(); return JsonValue::null();
+    default: {
+      const Number n = number_here();
+      return n.exact ? JsonValue::integer(n.i) : JsonValue::number(n.d);
+    }
+  }
+}
+
+void JsonReader::skip_value() {
+  std::string_view key;
+  switch (peek()) {
+    case JsonValue::Kind::kObject:
+      begin_object();
+      while (next_key(key)) skip_value();
+      return;
+    case JsonValue::Kind::kArray:
+      begin_array();
+      while (next_item()) skip_value();
+      return;
+    case JsonValue::Kind::kString: (void)read_string(); return;
+    case JsonValue::Kind::kBool: (void)read_bool(); return;
+    case JsonValue::Kind::kNull: read_null(); return;
+    case JsonValue::Kind::kNumber: (void)read_number(); return;
+  }
+}
+
+void JsonReader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters after document");
+}
 
 JsonValue json_parse(std::string_view text) {
-  return Parser(text).parse_document();
+  JsonReader r(text);
+  JsonValue v = r.read_value();
+  r.finish();
+  return v;
 }
 
 namespace {

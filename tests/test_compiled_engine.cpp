@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "gen/random_arch.hpp"
+#include "study/experiment.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/engine.hpp"
 #include "tdg/simplify.hpp"
@@ -126,9 +126,9 @@ TEST_P(CompiledEngineProperty, BaselineTracesReproduced) {
   cfg.tokens = 40;
   const model::ArchitectureDesc desc =
       gen::make_random_architecture(GetParam(), cfg);
-  core::ExperimentOptions opts;
+  study::ExperimentOptions opts;
   opts.repetitions = 1;
-  const core::Comparison cmp = core::run_comparison(desc, opts);
+  const core::Comparison cmp = study::run_comparison(desc, opts);
   EXPECT_TRUE(cmp.baseline.completed);
   EXPECT_TRUE(cmp.equivalent.completed);
   EXPECT_EQ(cmp.instant_mismatch, std::nullopt) << "seed " << GetParam();

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include "core/equivalent_model.hpp"
-#include "core/experiment.hpp"
 #include "core/metrics.hpp"
 #include "gen/didactic.hpp"
+#include "study/experiment.hpp"
 #include "util/error.hpp"
 
 namespace maxev::core {
 namespace {
 
 using namespace maxev::literals;
+using study::ExperimentOptions;
+using study::run_comparison;
+using study::measure_baseline;
 
 TEST(EquivalentModelTest, InternalChannelsAreNotConstructed) {
   gen::DidacticConfig cfg;
@@ -133,7 +136,9 @@ TEST(ExperimentTest, SyntheticEventOverheadSlowsBothModels) {
   cfg.tokens = 200;
   const model::ArchitectureDesc d = gen::make_didactic(cfg);
   ExperimentOptions fast;
-  fast.repetitions = 1;
+  // The median of three runs per model: one slow run on a loaded host
+  // must not decide the wall-clock comparisons below.
+  fast.repetitions = 3;
   fast.observe = false;
   ExperimentOptions heavy = fast;
   // Wide margin: the spin-wait must dominate scheduler noise under a loaded

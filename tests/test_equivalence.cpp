@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "core/equivalent_model.hpp"
-#include "core/experiment.hpp"
 #include "gen/chains.hpp"
 #include "gen/didactic.hpp"
 #include "gen/padded.hpp"
 #include "gen/random_arch.hpp"
 #include "model/baseline.hpp"
+#include "study/experiment.hpp"
 #include "util/error.hpp"
 
 /// The paper's accuracy claim, Section IV: "Evolution instants of both
@@ -20,6 +20,8 @@ namespace maxev::core {
 namespace {
 
 using namespace maxev::literals;
+using study::ExperimentOptions;
+using study::run_comparison;
 
 void expect_equivalent(const model::ArchitectureDesc& desc,
                        ExperimentOptions opts = {},

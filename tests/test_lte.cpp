@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
 #include "lte/params.hpp"
 #include "lte/receiver.hpp"
 #include "lte/scenario.hpp"
 #include "lte/workload.hpp"
 #include "model/baseline.hpp"
+#include "study/experiment.hpp"
 #include "tdg/derive.hpp"
 #include "tdg/simplify.hpp"
 
@@ -131,9 +131,9 @@ TEST(ReceiverTest, EquivalenceOnVaryingFrames) {
   cfg.symbols = 14 * 20;  // 20 subframes with varying parameters
   cfg.seed = 7;
   const auto d = make_receiver(cfg);
-  core::ExperimentOptions opts;
+  study::ExperimentOptions opts;
   opts.repetitions = 1;
-  const auto cmp = core::run_comparison(d, opts);
+  const auto cmp = study::run_comparison(d, opts);
   EXPECT_TRUE(cmp.accurate()) << cmp.to_string();
   EXPECT_GT(cmp.event_ratio, 3.0);
 }

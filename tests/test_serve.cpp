@@ -394,6 +394,45 @@ TEST(SessionTest, RestoreRejectsTamperedCheckpoint) {
       serve::SessionError);
 }
 
+// Restore reads token attrs by the feed rule: params is an array of
+// exactly four numbers. A checkpoint token with 3 params used to restore
+// with a silent zero, one with 5 was cut to 4, and "params": 7 restored as
+// all zeros.
+TEST(SessionTest, RestoreRejectsTokensWithoutFourParams) {
+  const gen::DidacticConfig cfg = small_didactic();
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::Session session(streamified_didactic(cfg));
+  session.feed(0, {tokens.begin(), tokens.begin() + 4});
+  (void)session.poll();
+  const JsonValue doc = json_parse(session.checkpoint());
+
+  const auto with_params = [&doc](JsonValue params) {
+    auto members = doc.members();
+    auto stream = members.at("streams")[0].members();
+    std::vector<JsonValue> attrs = stream.at("attrs").items();
+    auto token = attrs[1].members();
+    token["params"] = std::move(params);
+    attrs[1] = JsonValue::object(std::move(token));
+    stream["attrs"] = JsonValue::array(std::move(attrs));
+    members["streams"] =
+        JsonValue::array({JsonValue::object(std::move(stream))});
+    return json_dump(JsonValue::object(std::move(members)));
+  };
+  const auto halves = [](std::size_t n) {
+    return JsonValue::array(std::vector<JsonValue>(n, JsonValue::number(0.5)));
+  };
+  EXPECT_EQ(serve::Session::restore(with_params(halves(4)))->fed(0), 4u);
+  for (const JsonValue& params : {halves(3), halves(5), JsonValue::integer(7)}) {
+    try {
+      (void)serve::Session::restore(with_params(params));
+      ADD_FAILURE() << "restored params " << json_dump(params);
+    } catch (const serve::SessionError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "protocol: token attrs params must be an array of 4");
+    }
+  }
+}
+
 TEST(SessionTest, CheckpointRefusesWhileGuardStopped) {
   serve::Session::Options opts;
   opts.guards.max_events = 1;  // trips immediately

@@ -7,12 +7,12 @@
 #include <vector>
 
 #include "core/equivalent_model.hpp"
-#include "core/experiment.hpp"
 #include "core/lt_runner.hpp"
 #include "gen/didactic.hpp"
 #include "gen/random_arch.hpp"
 #include "lte/receiver.hpp"
 #include "model/baseline.hpp"
+#include "study/experiment.hpp"
 #include "study/study.hpp"
 #include "util/error.hpp"
 
@@ -573,9 +573,9 @@ TEST(ReportTest, AtThrowsOnMissingCell) {
 
 TEST(DelegationTest, RunComparisonMatchesHandBuiltStudy) {
   const model::ArchitectureDesc d = small_didactic(100);
-  core::ExperimentOptions opts;
+  ExperimentOptions opts;
   opts.repetitions = 1;
-  const core::Comparison cmp = core::run_comparison(d, opts);
+  const core::Comparison cmp = run_comparison(d, opts);
 
   Study st;
   st.add(Scenario("comparison", d));

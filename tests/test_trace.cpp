@@ -389,6 +389,36 @@ TEST(UsageTraceTest, SortMatchesTheSortedReferenceOnSeededTraces) {
   }
 }
 
+// A trace emitted as sorted runs, the shape of an adaptive run whose
+// fast-forward appends each extrapolated tail as one run: up to 64 runs are
+// merged, more are sorted, and both give the reference order.
+TEST(UsageTraceTest, SortMergesSortedRunsOnEitherSideOfTheMergeLimit) {
+  std::mt19937_64 rng(21);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  for (const int runs : {1, 2, 7, 63, 64, 65, 200}) {
+    UsageTrace t("P");
+    for (int r = 0; r < runs; ++r) {
+      std::int64_t start = 0;  // below the previous run's end
+      for (int i = 0; i < 4000 / runs; ++i) {
+        start += pick(1, 4);
+        t.add({at(start), at(start + pick(0, 9)), pick(0, 3),
+               r % 2 == 0 ? "a" : "b"});
+      }
+    }
+    const std::vector<RefRow> want = reference_sorted(t);
+    t.sort();
+    ASSERT_EQ(t.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(t.starts()[i], want[i].start) << runs << " runs";
+      ASSERT_EQ(t.ends()[i], want[i].end) << runs << " runs";
+      ASSERT_EQ(t.ops()[i], want[i].ops) << runs << " runs";
+      ASSERT_EQ(t.label(t.label_ids()[i]), want[i].label) << runs << " runs";
+    }
+  }
+}
+
 TEST(UsageTraceSetTest, CompareIgnoresEmissionOrderWithoutSorting) {
   UsageTraceSet a, b;
   a.trace("P1").add({at(0), at(10), 1, "x"});

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -433,6 +434,91 @@ TEST(JsonTest, RejectsDeepNesting) {
     } catch (const Error& e) {
       EXPECT_EQ(std::string(e.what()), want + std::to_string(offset));
     }
+  }
+}
+
+TEST(JsonReaderTest, PullsMembersInAnyOrderWithoutATree) {
+  JsonReader r(R"( {"b": [1, 2.5, "x\n"], "a": {"t": true, "n": null}} )");
+  ASSERT_EQ(r.peek(), JsonValue::Kind::kObject);
+  r.begin_object();
+  std::string_view key;
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "b");
+  ASSERT_EQ(r.peek(), JsonValue::Kind::kArray);
+  r.begin_array();
+  ASSERT_TRUE(r.next_item());
+  const JsonReader::Number one = r.read_number();
+  EXPECT_TRUE(one.exact);
+  EXPECT_EQ(one.i, 1);
+  ASSERT_TRUE(r.next_item());
+  const JsonReader::Number half = r.read_number();
+  EXPECT_FALSE(half.exact);
+  EXPECT_EQ(half.d, 2.5);
+  ASSERT_TRUE(r.next_item());
+  EXPECT_EQ(r.read_string(), "x\n");
+  EXPECT_FALSE(r.next_item());
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "a");
+  r.skip_value();
+  EXPECT_FALSE(r.next_key(key));
+  r.finish();
+}
+
+TEST(JsonReaderTest, RepeatedKeysFailPastTheirValueInWideObjects) {
+  // Past 16 members the reader indexes an object's keys instead of
+  // scanning them; the verdict and the offset stay the same.
+  for (const std::size_t width : {3, 16, 17, 40}) {
+    std::string text = "{";
+    for (std::size_t i = 0; i < width; ++i)
+      text += (i == 0 ? "\"k" : ",\"k") + std::to_string(i) + "\":" +
+              std::to_string(i);
+    EXPECT_EQ(json_parse(text + "}").size(), width);
+    const std::string repeated = text + R"(,"k1":[1])";
+    const std::string want = "json_parse: duplicate object key at offset " +
+                             std::to_string(repeated.size());
+    try {
+      (void)json_parse(repeated + "}");
+      ADD_FAILURE() << "parsed a repeated key at width " << width;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+    const std::string closed = repeated + "}";
+    JsonReader skipped(closed);
+    try {
+      skipped.skip_value();
+      ADD_FAILURE() << "skipped a repeated key at width " << width;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+  // Each object has keys of its own.
+  EXPECT_EQ(json_parse(R"({"a":{"a":1,"b":{"a":2}},"b":{"a":3}})").size(), 2u);
+}
+
+TEST(JsonWriterTest, Int64ArrayWritesWhatPerValueWritesWrite) {
+  const std::vector<std::int64_t> cases[] = {
+      {},
+      {0},
+      {std::numeric_limits<std::int64_t>::min(),
+       std::numeric_limits<std::int64_t>::max(), -1, 7, 1'000'000'000'000}};
+  for (const std::vector<std::int64_t>& v : cases) {
+    JsonWriter bulk;
+    bulk.begin_array().value(true).int64_array(v).int64_array(v).end_array();
+    bulk.begin_object();
+    JsonWriter each;
+    each.begin_array().value(true);
+    for (int twice = 0; twice < 2; ++twice) {
+      each.begin_array();
+      for (const std::int64_t x : v) each.value(x);
+      each.end_array();
+    }
+    each.end_array();
+    each.begin_object();
+    bulk.key("v").int64_array(v).field("n", std::int64_t{1}).end_object();
+    each.key("v").begin_array();
+    for (const std::int64_t x : v) each.value(x);
+    each.end_array().field("n", std::int64_t{1}).end_object();
+    EXPECT_EQ(bulk.str(), each.str());
   }
 }
 
