@@ -11,12 +11,18 @@ Drives the serving binary through its line-delimited JSON protocol:
      machinery) and prints the complete traces.
   3. The protocol run submits the scenario, feeds the tokens across
      several feed/poll rounds, checkpoints mid-stream, restores the
-     checkpoint into a fresh session, and finishes feeding there.
+     checkpoint into a fresh session, and finishes feeding there. The
+     restore must be a program-cache hit: the server decodes and compiles
+     each scenario document once.
   4. Hostile lines must come back as in-band `ok: false` errors, and the
      same process must still answer `stats`: HOSTILE_DEPTH unclosed '[';
      and, right after the restore, a feed with its members reordered and a
      token repeating `earliest_ps`, a token with 3 params, and a restore
      from a checkpoint cut to 3 params. None of them may feed anything.
+  5. A twin session on the same scenario, fed every token SHIFT_PS later,
+     must reproduce the golden traces shifted by SHIFT_PS, while the first
+     session is still live: sessions on one document share its template
+     and program but never each other's tokens.
 
 The accumulated poll deltas (original session up to the checkpoint, the
 restored session after it) must reassemble, instant for instant and busy
@@ -34,6 +40,7 @@ import tempfile
 
 ROUNDS = 4  # feed/poll rounds; the checkpoint happens after round 2
 HOSTILE_DEPTH = 200_000  # far past the parser's nesting bound
+SHIFT_PS = 3_000_000  # the twin session's release offset
 
 
 def fail(msg):
@@ -141,6 +148,53 @@ def accumulate(state, delta):
             cols[key].extend(u[key])
 
 
+def run_twin(server, scenario, tokens):
+    """Open a second session on the scenario, feed it every token SHIFT_PS
+    later, poll it to completion and close it; return its traces."""
+    state = {"instants": {}, "usage": {}}
+    server.request({"cmd": "submit", "session": "twin", "scenario": scenario})
+    for stream in tokens["streams"]:
+        shifted = [
+            dict(t, earliest_ps=t["earliest_ps"] + SHIFT_PS)
+            for t in stream["tokens"]
+        ]
+        server.request(
+            {"cmd": "feed", "session": "twin", "source": stream["source"],
+             "tokens": shifted}
+        )
+    delta = server.request({"cmd": "poll", "session": "twin"})
+    accumulate(state, delta)
+    if not delta["completed"]:
+        fail(f"twin session did not complete (stop={delta['stop']})")
+    server.request({"cmd": "close", "session": "twin"})
+    state["now_ps"] = delta["now_ps"]
+    return state
+
+
+def check_twin(twin, golden):
+    """The twin's traces are the golden ones, every instant SHIFT_PS later."""
+    want_instants = {
+        s["series"]: [t + SHIFT_PS for t in s["instants_ps"]]
+        for s in golden["instants"]
+    }
+    want_usage = {
+        u["resource"]: {
+            "starts_ps": [t + SHIFT_PS for t in u["starts_ps"]],
+            "ends_ps": [t + SHIFT_PS for t in u["ends_ps"]],
+            "ops": u["ops"],
+            "labels": u["labels"],
+        }
+        for u in golden["usage"]
+    }
+    if twin["instants"] != want_instants:
+        fail("the shifted twin's instants differ from the shifted golden")
+    if twin["usage"] != want_usage:
+        fail("the shifted twin's usage differs from the shifted golden")
+    if twin["now_ps"] != golden["now_ps"] + SHIFT_PS:
+        fail(f"twin end time {twin['now_ps']} != shifted golden "
+             f"{golden['now_ps'] + SHIFT_PS}")
+
+
 def main():
     binary = sys.argv[1] if len(sys.argv) > 1 else "./build/maxev_serve"
     if not os.path.exists(binary):
@@ -214,8 +268,13 @@ def main():
                     "checkpoint": ckpt["checkpoint"],
                 }
             )
+            hits = server.request({"cmd": "stats"})["cache"]["hits"]
+            if hits < 1:
+                fail(f"restoring a submitted scenario missed the cache "
+                     f"({hits} hits)")
             source, toks = next((c for c in chunks[r + 1] if c[1]))
             hostile_lines(server, ckpt["checkpoint"], source, toks[0])
+            twin = run_twin(server, scenario, tokens)
 
     # Every stream is fully fed now: a final poll runs to completion.
     delta = server.request({"cmd": "poll", "session": "smoke"})
@@ -250,13 +309,15 @@ def main():
         fail("streamed usage differs from the one-shot golden")
     if delta["now_ps"] != golden["now_ps"]:
         fail(f"end time {delta['now_ps']} != golden {golden['now_ps']}")
+    check_twin(twin, golden)
 
     n_instants = sum(len(v) for v in state["instants"].values())
     print(
         f"serve_smoke: OK — {n_instants} instants over "
         f"{len(state['instants'])} series, {polls} polls, "
-        f"1 checkpoint/restore, bit-identical to one-shot, hostile "
-        f"lines rejected in band (cache: {stats['cache']})"
+        f"1 checkpoint/restore, bit-identical to one-shot, a shifted twin "
+        f"session matches the shifted golden, hostile lines rejected in "
+        f"band (cache: {stats['cache']})"
     )
 
 

@@ -23,7 +23,9 @@
 /// Cache keys therefore compare and hash the model::DescPtr by POINTER
 /// IDENTITY — only instances provably evaluating the same workload
 /// functions share an artifact. The key holds the shared_ptr, so a cached
-/// address cannot be reused by another description.
+/// address cannot be reused by another description. The serve layer adds
+/// document identity on top: sessions on one scenario document compile
+/// through its one decoded template (serve/program_cache.hpp).
 
 namespace maxev::core {
 

@@ -103,6 +103,21 @@ SourceId ArchitectureDesc::add_source(
   return static_cast<SourceId>(sources_.size()) - 1;
 }
 
+void ArchitectureDesc::rebind_source(
+    SourceId s, std::function<TimePoint(std::uint64_t)> earliest,
+    std::function<TokenAttrs(std::uint64_t)> attrs) {
+  if (s < 0 || s >= static_cast<SourceId>(sources_.size()))
+    throw DescriptionError("rebind_source: unknown source id " +
+                           std::to_string(s));
+  SourceDesc& src = sources_[static_cast<std::size_t>(s)];
+  if (!earliest)
+    throw DescriptionError("source '" + src.name + "': earliest() is required");
+  if (!attrs)
+    throw DescriptionError("source '" + src.name + "': attrs() is required");
+  src.earliest = std::move(earliest);
+  src.attrs = std::move(attrs);
+}
+
 SinkId ArchitectureDesc::add_sink(
     std::string name, ChannelId ch,
     std::function<Duration(std::uint64_t)> consume_delay) {

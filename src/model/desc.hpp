@@ -137,6 +137,15 @@ class ArchitectureDesc {
                       std::function<Duration(std::uint64_t)> gap = nullptr);
   SinkId add_sink(std::string name, ChannelId ch,
                   std::function<Duration(std::uint64_t)> consume_delay = nullptr);
+  /// Replace source \p s's token functions (its gap stays). The structural
+  /// surface (and with it validation) is untouched, so one decoded
+  /// description can be copied and rebound many times: serve::Session binds
+  /// its own token buffers into a copy of a shared template. No compiled
+  /// program reads source functions, so a description and a rebound copy
+  /// compile alike.
+  void rebind_source(SourceId s,
+                     std::function<TimePoint(std::uint64_t)> earliest,
+                     std::function<TokenAttrs(std::uint64_t)> attrs);
   /// @}
 
   /// Structural validation; resolves channel endpoints and the per-resource

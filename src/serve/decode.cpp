@@ -29,12 +29,10 @@ std::int64_t read_int64(JsonReader& r, Fault& f) {
   return 0;
 }
 
-/// The walk's as_double(): any number.
+/// The walk's as_double(): any number. A `-0` reads as -0.0, so a param
+/// keeps its sign through checkpoint() and restore().
 double read_double(JsonReader& r, Fault& f) {
-  if (r.peek() == Kind::kNumber) {
-    const JsonReader::Number n = r.read_number();
-    return n.exact ? static_cast<double>(n.i) : n.d;
-  }
+  if (r.peek() == Kind::kNumber) return r.read_number().d;
   const JsonValue v = r.read_value();
   f.check([&v] { (void)v.as_double(); });
   return 0.0;

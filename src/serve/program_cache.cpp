@@ -1,5 +1,8 @@
 #include "serve/program_cache.hpp"
 
+#include <string>
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace maxev::serve {
@@ -26,14 +29,38 @@ core::CompiledPtr ProgramCache::get(const core::CompiledKey& key_in,
   ++misses_;
   if (was_hit != nullptr) *was_hit = false;
   core::CompiledPtr compiled = core::compile_abstraction(key);
-  lru_.push_front(Entry{compiled->key, compiled});
-  index_.emplace(compiled->key, lru_.begin());
-  while (index_.size() > capacity_) {
-    index_.erase(lru_.back().key);
+  insert(Entry{compiled->key, compiled, nullptr});
+  return compiled;
+}
+
+TemplatePtr ProgramCache::scenario(std::string_view document) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = scenarios_.find(document);
+  if (it != scenarios_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->scenario;
+  }
+  TemplatePtr decoded = decode_template(std::string(document));
+  insert(Entry{{}, nullptr, decoded});
+  return decoded;
+}
+
+void ProgramCache::insert(Entry e) {
+  lru_.push_front(std::move(e));
+  const Entry& front = lru_.front();
+  if (front.scenario != nullptr)
+    scenarios_.emplace(front.scenario->document, lru_.begin());
+  else
+    index_.emplace(front.key, lru_.begin());
+  while (lru_.size() > capacity_) {
+    const Entry& back = lru_.back();
+    if (back.scenario != nullptr)
+      scenarios_.erase(back.scenario->document);
+    else
+      index_.erase(back.key);
     lru_.pop_back();
     ++evictions_;
   }
-  return compiled;
 }
 
 bool ProgramCache::contains(const core::CompiledKey& key_in) const {
@@ -45,12 +72,13 @@ bool ProgramCache::contains(const core::CompiledKey& key_in) const {
 
 ProgramCache::Stats ProgramCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Stats{hits_, misses_, evictions_, index_.size()};
+  return Stats{hits_, misses_, evictions_, lru_.size()};
 }
 
 void ProgramCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   index_.clear();
+  scenarios_.clear();
   lru_.clear();
 }
 

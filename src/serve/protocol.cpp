@@ -112,9 +112,10 @@ std::string Server::handle(std::string_view line) {
           scenario = json_dump(*obj);
         else
           scenario = req.at("scenario_json").as_string();
-        session = std::make_unique<Session>(std::move(scenario), sopts);
+        session = std::make_unique<Session>(cache_.scenario(scenario), sopts);
       } else {
-        session = Session::restore(req.at("checkpoint").as_string(), sopts);
+        session =
+            Session::restore(req.at("checkpoint").as_string(), sopts, &cache_);
       }
 
       JsonWriter w;

@@ -13,8 +13,16 @@
 /// (docs/DESIGN.md §13), the transport-agnostic half of the `maxev_serve`
 /// example binary: one request object per line in, one response object per
 /// line out. A Server multiplexes named sessions over one shared
-/// ProgramCache, so repeated submissions of structurally identical
-/// scenarios skip the derive → compile pipeline.
+/// ProgramCache, which holds both the decoded scenario documents and their
+/// compiled programs. Sharing goes by DOCUMENT identity here: every
+/// `submit` and `restore` of the same scenario text (the canonical dump of
+/// a `scenario` object, or the `scenario_json` string byte for byte) finds
+/// one decoded template and, through the template's description, one
+/// compiled program; only its stream buffers are the session's own. So a
+/// repeated document skips the decode → derive → compile pipeline, and
+/// documents that differ in any byte never share. Library callers that
+/// build sessions from text keep the pointer-identity rule (one private
+/// template per Session).
 ///
 /// Requests (`cmd` selects the verb; `session` names the target):
 ///   {"cmd":"submit","session":S,"scenario":{...}}        create a session

@@ -1,5 +1,6 @@
 #include "serve/session.hpp"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -13,51 +14,81 @@ std::uint64_t dispatched(const sim::KernelStats& s) {
   return s.resumes + s.callbacks - s.inline_resumes;
 }
 
+/// The compiled lookups of a session's model, sent through its template's
+/// description. The session's copy differs from the template only in its
+/// stream sources, which no compiled program reads, so every session on
+/// one template shares one program: pointer identity on the template is
+/// the sharing rule (core/compiled.hpp).
+class TemplateLookup final : public core::CompiledProvider {
+ public:
+  TemplateLookup(core::CompiledProvider* next, const model::DescPtr& bound,
+                 model::DescPtr shared)
+      : next_(next), bound_(bound), shared_(std::move(shared)) {}
+
+  core::CompiledPtr get(const core::CompiledKey& key,
+                        bool* was_hit) override {
+    core::CompiledKey k = key;
+    if (k.desc == bound_) k.desc = shared_;
+    if (next_ != nullptr) return next_->get(k, was_hit);
+    if (was_hit != nullptr) *was_hit = false;
+    return core::compile_abstraction(k);
+  }
+
+ private:
+  core::CompiledProvider* next_;
+  const model::DescPtr& bound_;
+  model::DescPtr shared_;
+};
+
 }  // namespace
 
 Session::Session(std::string scenario_json)
     : Session(std::move(scenario_json), Options()) {}
 
 Session::Session(std::string scenario_json, Options opts)
-    : scenario_json_(std::move(scenario_json)), opts_(opts) {
-  model::ArchitectureDesc desc = desc_from_json(scenario_json_, this);
+    : Session(decode_template(std::move(scenario_json)), opts) {}
+
+Session::Session(TemplatePtr scenario, Options opts)
+    : template_(std::move(scenario)), opts_(opts) {
+  if (template_ == nullptr)
+    throw SessionError("session: null scenario template");
+  model::ArchitectureDesc desc = *template_->desc;
+  for (const std::size_t s : template_->stream_sources) {
+    auto stream = std::make_shared<Stream>();
+    stream->source_index = s;
+    stream->name = desc.sources()[s].name;
+    stream->count = desc.sources()[s].count;
+    stream_by_source_[s] = streams_.size();
+    streams_.push_back(stream);
+    // The watermark guarantees the kernel never evaluates an unfed token;
+    // reaching a throw means the watermark computation is wrong.
+    desc.rebind_source(
+        static_cast<model::SourceId>(s),
+        [stream](std::uint64_t k) {
+          if (k >= stream->earliest_ps.size())
+            throw SessionError("stream source '" + stream->name +
+                               "': token " + std::to_string(k) +
+                               " evaluated before being fed");
+          return TimePoint::at_ps(stream->earliest_ps[k]);
+        },
+        [stream](std::uint64_t k) {
+          if (k >= stream->attrs.size())
+            throw SessionError("stream source '" + stream->name +
+                               "': attrs of " + std::to_string(k) +
+                               " evaluated before being fed");
+          return stream->attrs[k];
+        });
+  }
   desc_ = model::share(std::move(desc));
 
+  TemplateLookup lookup(opts_.compiled, desc_, template_->desc);
   core::EquivalentModel::Options mopts;
   mopts.expected_iterations = opts_.expected_iterations;
-  mopts.compiled = opts_.compiled;
+  mopts.compiled = &lookup;
   model_ = std::make_unique<core::EquivalentModel>(
       desc_, std::vector<bool>{}, mopts);
   if (opts_.guards.any())
     model_->runtime().kernel().set_run_guards(opts_.guards);
-}
-
-Session::Fns Session::make_stream_source(std::size_t source_index,
-                                         const std::string& name,
-                                         std::uint64_t count) {
-  auto stream = std::make_shared<Stream>();
-  stream->source_index = source_index;
-  stream->name = name;
-  stream->count = count;
-  stream_by_source_[source_index] = streams_.size();
-  streams_.push_back(stream);
-
-  Fns fns;
-  // The watermark guarantees the kernel never evaluates an unfed token;
-  // reaching the throw means the watermark computation is wrong.
-  fns.earliest = [stream](std::uint64_t k) {
-    if (k >= stream->earliest_ps.size())
-      throw SessionError("stream source '" + stream->name + "': token " +
-                         std::to_string(k) + " evaluated before being fed");
-    return TimePoint::at_ps(stream->earliest_ps[k]);
-  };
-  fns.attrs = [stream](std::uint64_t k) {
-    if (k >= stream->attrs.size())
-      throw SessionError("stream source '" + stream->name + "': attrs of " +
-                         std::to_string(k) + " evaluated before being fed");
-    return stream->attrs[k];
-  };
-  return fns;
 }
 
 bool Session::is_stream_source(std::size_t source) const {
@@ -92,6 +123,10 @@ void Session::feed(std::size_t source, const std::vector<FedToken>& tokens) {
                          std::to_string(t.earliest_ps) + " after " +
                          std::to_string(floor) + ")");
     floor = t.earliest_ps;
+    for (const double p : t.attrs.params)
+      if (!std::isfinite(p))
+        throw SessionError("stream source '" + st.name +
+                           "': token params must be finite numbers");
   }
   for (const FedToken& t : tokens) {
     st.earliest_ps.push_back(t.earliest_ps);
@@ -204,7 +239,7 @@ std::string Session::checkpoint() const {
         "the guard before checkpointing");
   JsonWriter w;
   w.begin_object().field("maxev_checkpoint", kWireVersion);
-  w.field("scenario_json", scenario_json_);
+  w.field("scenario_json", template_->document);
   w.key("streams").begin_array();
   for (const auto& stream : streams_) {
     w.begin_object();
@@ -244,7 +279,8 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json) {
 }
 
 std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
-                                          Options opts) {
+                                          Options opts,
+                                          ProgramCache* scenarios) {
   Checkpoint cp;
   try {
     cp = read_checkpoint(checkpoint_json);
@@ -258,8 +294,11 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
       doc.at("maxev_checkpoint").as_int64() != kWireVersion)
     throw SessionError("restore: unsupported checkpoint version");
 
+  const std::string& scenario_json = doc.at("scenario_json").as_string();
   auto session = std::make_unique<Session>(
-      doc.at("scenario_json").as_string(), opts);
+      scenarios != nullptr ? scenarios->scenario(scenario_json)
+                           : decode_template(scenario_json),
+      opts);
 
   // The streams were decoded with the feed rules; their faults surface
   // here, in the order a walk over the document meets them.
@@ -270,26 +309,48 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
     session->feed(s.source, s.tokens);
   }
 
+  // The checkpointed progress must be one the fed tokens allow: a live
+  // session completes only once every stream is fully fed, and advances
+  // no further than the stream watermark. Anything else would fail deep in
+  // the replay, on an unfed token.
+  const bool completed = doc.at("completed").as_bool();
+  Watermark replay;
+  if (completed) {
+    for (const auto& stream : session->streams_)
+      if (stream->earliest_ps.size() != stream->count)
+        throw SessionError("restore: the checkpoint is completed but stream "
+                           "source '" + stream->name + "' is fed " +
+                           std::to_string(stream->earliest_ps.size()) +
+                           " of " + std::to_string(stream->count) +
+                           " tokens");
+    replay.unbounded = true;
+  } else if (!doc.at("advanced_ps").is_null()) {
+    const std::int64_t advanced_ps = doc.at("advanced_ps").as_int64();
+    const Watermark w = session->watermark();
+    if (w.blocked || (!w.unbounded && advanced_ps > w.until.count()))
+      throw SessionError(
+          "restore: advanced_ps " + std::to_string(advanced_ps) +
+          " is past the stream watermark of the fed tokens (" +
+          (w.blocked ? std::string("blocked")
+                     : std::to_string(w.until.count()) + " ps") +
+          ")");
+    replay.until = TimePoint::at_ps(advanced_ps);
+  } else {
+    replay.blocked = true;  // nothing was run
+  }
+
   // Replay the advance. Incremental horizon-resume is pinned bit-identical
   // to a single run, so one run to the checkpointed horizon reproduces the
   // exact kernel state.
   Delta scratch;
-  if (doc.at("completed").as_bool()) {
-    Watermark w;
-    w.unbounded = true;
-    session->advance(w, scratch);
-  } else if (!doc.at("advanced_ps").is_null()) {
-    Watermark w;
-    w.until = TimePoint::at_ps(doc.at("advanced_ps").as_int64());
-    session->advance(w, scratch);
-  }
+  session->advance(replay, scratch);
 
   // Validate the replay before trusting it.
   const std::int64_t now_ps = doc.at("now_ps").as_int64();
   const std::uint64_t events = doc.at("events_dispatched").as_uint64();
   if (session->model_->end_time().count() != now_ps ||
       dispatched(session->model_->kernel_stats()) != events ||
-      session->completed_ != doc.at("completed").as_bool())
+      session->completed_ != completed)
     throw SessionError(
         "restore: replay diverged from the checkpoint (now " +
         std::to_string(session->model_->end_time().count()) + " vs " +

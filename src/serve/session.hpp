@@ -10,6 +10,7 @@
 #include "core/compiled.hpp"
 #include "core/equivalent_model.hpp"
 #include "model/token.hpp"
+#include "serve/program_cache.hpp"
 #include "serve/wire.hpp"
 #include "sim/kernel.hpp"
 #include "util/time.hpp"
@@ -19,9 +20,12 @@
 /// source tokens arrive incrementally instead of from a pre-known table.
 ///
 /// A Session wraps one core::EquivalentModel (simulation kernel + TDG
-/// engine). Sources marked `{"type": "stream"}` in the wire document are
-/// bound to feedable token buffers; everything else behaves exactly as in
-/// a one-shot run. Each poll() advances the kernel to the *stream
+/// engine) over a copy of a decoded scenario template (ScenarioTemplate).
+/// Sources marked `{"type": "stream"}` in the wire document are bound to
+/// the session's own feedable token buffers; everything else behaves
+/// exactly as in a one-shot run. The model's compiled lookups go through
+/// the template's description, so sessions built from one template share
+/// its compiled program. Each poll() advances the kernel to the *stream
 /// watermark* — the largest horizon at which no behavioural function of an
 /// unfed token can be evaluated — using the kernel's pinned horizon-resume
 /// primitive, so the concatenation of incremental advances is bit-identical
@@ -30,10 +34,11 @@
 ///
 /// checkpoint() serializes the session as a deterministic-replay document:
 /// the original scenario text, every fed token, and the horizon advanced
-/// to. restore() rebuilds the model from scratch, re-feeds, re-advances,
-/// and validates the kernel's time and dispatched-event counters against
-/// the checkpointed values — replay divergence is a SessionError, not a
-/// silent drift.
+/// to. restore() rebuilds the model from scratch, re-feeds, checks the
+/// checkpointed progress against the fed tokens, re-advances, and
+/// validates the kernel's time and dispatched-event counters against the
+/// checkpointed values — replay divergence is a SessionError, not a silent
+/// drift.
 
 namespace maxev::serve {
 
@@ -44,7 +49,7 @@ class SessionError : public Error {
   using Error::Error;
 };
 
-class Session final : private StreamSourceFactory {
+class Session final {
  public:
   struct Options {
     /// Execution limits applied to every advance (sim::RunGuards).
@@ -61,18 +66,24 @@ class Session final : private StreamSourceFactory {
     model::TokenAttrs attrs;
   };
 
-  /// Build a session from a `{"maxev_wire": 1, ...}` scenario document.
-  /// The text is retained verbatim for checkpoints.
+  /// Build a session from a `{"maxev_wire": 1, ...}` scenario document,
+  /// decoded into a private template. The text is retained verbatim for
+  /// checkpoints.
   explicit Session(std::string scenario_json);
   Session(std::string scenario_json, Options opts);
+  /// Build a session on a shared template: a copy of its description with
+  /// the stream sources bound to this session's buffers.
+  Session(TemplatePtr scenario, Options opts);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   /// Append tokens to stream source \p source (index into the wire
   /// document's source array). Earliest instants must be non-decreasing,
-  /// both within the batch and against what is already fed; the total may
-  /// not exceed the source's declared count.
+  /// both within the batch and against what is already fed; params must be
+  /// finite (a checkpoint could not carry anything else); the total may
+  /// not exceed the source's declared count. A rejected batch feeds
+  /// nothing.
   void feed(std::size_t source, const std::vector<FedToken>& tokens);
 
   /// Newly recorded instants of one relation since the previous poll.
@@ -110,13 +121,17 @@ class Session final : private StreamSourceFactory {
   /// Serialize for deterministic replay. \pre not mid-advance.
   [[nodiscard]] std::string checkpoint() const;
 
-  /// Rebuild a session from a checkpoint() document: re-feed, re-advance,
-  /// validate the replayed kernel counters. Throws SessionError on
-  /// malformed documents or replay divergence.
+  /// Rebuild a session from a checkpoint() document: re-feed, check the
+  /// checkpointed horizon against the fed tokens, re-advance, validate the
+  /// replayed kernel counters. Throws SessionError on malformed documents,
+  /// progress the fed tokens cannot support, or replay divergence. With
+  /// \p scenarios the checkpoint's scenario document resolves to that
+  /// cache's shared template; without, it is decoded privately.
   [[nodiscard]] static std::unique_ptr<Session> restore(
       std::string_view checkpoint_json);
   [[nodiscard]] static std::unique_ptr<Session> restore(
-      std::string_view checkpoint_json, Options opts);
+      std::string_view checkpoint_json, Options opts,
+      ProgramCache* scenarios = nullptr);
 
   /// \name Introspection
   /// @{
@@ -139,9 +154,6 @@ class Session final : private StreamSourceFactory {
     std::vector<model::TokenAttrs> attrs;
   };
 
-  Fns make_stream_source(std::size_t source_index, const std::string& name,
-                         std::uint64_t count) override;
-
   /// nullopt = blocked; otherwise the horizon to run to (nullopt inside
   /// the optional pair is expressed via `unbounded`).
   struct Watermark {
@@ -156,9 +168,9 @@ class Session final : private StreamSourceFactory {
   void advance(const Watermark& w, Delta& d);
   void collect_deltas(Delta& d);
 
-  std::string scenario_json_;
+  TemplatePtr template_;
   Options opts_;
-  std::vector<std::shared_ptr<Stream>> streams_;  // in factory-call order
+  std::vector<std::shared_ptr<Stream>> streams_;  // in source order
   std::map<std::size_t, std::size_t> stream_by_source_;
   model::DescPtr desc_;
   std::unique_ptr<core::EquivalentModel> model_;

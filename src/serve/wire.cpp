@@ -461,13 +461,41 @@ model::ArchitectureDesc desc_from_json(std::string_view text,
   return desc_from_json(json_parse(text), streams);
 }
 
-bool source_is_stream(const JsonValue& doc, std::size_t s) {
-  check_version(doc, "maxev_wire");
-  const JsonValue& sources =
-      member(member(doc, "desc", "document"), "sources", "desc");
-  if (s >= sources.size()) return false;
-  const std::string where = "sources[" + std::to_string(s) + "]";
-  return spec_type(member(sources[s], "earliest", where), where) == "stream";
+namespace {
+
+/// Binds every stream-typed source of a template to throwing stubs and
+/// records which sources they are.
+class StubStreams final : public StreamSourceFactory {
+ public:
+  explicit StubStreams(std::vector<std::size_t>& sources)
+      : sources_(sources) {}
+
+  Fns make_stream_source(std::size_t source_index, const std::string& name,
+                         std::uint64_t) override {
+    sources_.push_back(source_index);
+    const auto what = std::make_shared<const std::string>(name);
+    return Fns{[what](std::uint64_t) -> TimePoint { fail(*what); },
+               [what](std::uint64_t) -> model::TokenAttrs { fail(*what); }};
+  }
+
+ private:
+  [[noreturn]] static void fail(const std::string& name) {
+    throw WireError("stream source '" + name +
+                    "' of a shared scenario template evaluated; a session "
+                    "binds its own streams");
+  }
+
+  std::vector<std::size_t>& sources_;
+};
+
+}  // namespace
+
+TemplatePtr decode_template(std::string document) {
+  auto out = std::make_shared<ScenarioTemplate>();
+  StubStreams stubs(out->stream_sources);
+  out->desc = model::share(desc_from_json(document, &stubs));
+  out->document = std::move(document);
+  return out;
 }
 
 }  // namespace maxev::serve

@@ -65,9 +65,9 @@ using TableAttrsFn = model::TableAttrsFn;
 /// @}
 
 /// Supplies the behavioural functions of `{"type": "stream"}` sources —
-/// tokens that arrive incrementally instead of from a table. Implemented
-/// by serve::Session (its TokenStream feeds); absent a factory, stream
-/// specs are a WireError.
+/// tokens that arrive incrementally instead of from a table. The scenario
+/// template decoder implements it with throwing stubs (decode_template);
+/// absent a factory, stream specs are a WireError.
 class StreamSourceFactory {
  public:
   struct Fns {
@@ -96,10 +96,26 @@ class StreamSourceFactory {
     const JsonValue& doc, StreamSourceFactory* streams = nullptr);
 [[nodiscard]] model::ArchitectureDesc desc_from_json(
     std::string_view text, StreamSourceFactory* streams = nullptr);
+/// @}
 
-/// Whether the description's source \p s is stream-typed in \p doc (the
-/// session layer needs to know which sources it feeds).
-[[nodiscard]] bool source_is_stream(const JsonValue& doc, std::size_t s);
+/// \name Scenario templates
+/// A scenario document decoded once, for every session on it
+/// (docs/DESIGN.md §13): the validated description, with each stream-typed
+/// source bound to a stub that throws if it is ever called, and the list of
+/// those sources. A serve::Session copies the description and binds the
+/// stubs to its own token buffers (model::ArchitectureDesc::rebind_source),
+/// so the template never holds a session's tokens and a wrong binding fails
+/// loudly instead of reading another session's.
+/// @{
+struct ScenarioTemplate {
+  std::string document;  ///< the document text, byte for byte
+  model::DescPtr desc;
+  std::vector<std::size_t> stream_sources;  ///< ascending source indices
+};
+using TemplatePtr = std::shared_ptr<const ScenarioTemplate>;
+
+/// Decode \p document into a template. Throws as desc_from_json.
+[[nodiscard]] TemplatePtr decode_template(std::string document);
 /// @}
 
 }  // namespace maxev::serve

@@ -534,6 +534,7 @@ inline JsonReader::Number JsonReader::number_here() {
     const auto r = std::from_chars(first, last, n.i);
     if (r.ec == std::errc() && r.ptr == last) {
       n.exact = true;
+      n.d = n.i == 0 && *first == '-' ? -0.0 : static_cast<double>(n.i);
       return n;
     }
     // Falls through for out-of-range integers: keep them as doubles.

@@ -178,7 +178,8 @@ class JsonReader {
   [[nodiscard]] bool next_item();
 
   /// A number: `exact` when the literal was integral and fits
-  /// std::int64_t (then `i` holds it), else `d` holds what strtod returns.
+  /// std::int64_t (then `i` holds it). `d` holds it as a double either way:
+  /// what strtod returns, or `i` converted, with the sign of a `-0` kept.
   struct Number {
     bool exact = false;
     std::int64_t i = 0;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -95,12 +96,45 @@ std::vector<serve::Session::FedToken> didactic_tokens(
 struct OneShot {
   std::unique_ptr<core::EquivalentModel> model;
   explicit OneShot(const gen::DidacticConfig& cfg)
-      : model(std::make_unique<core::EquivalentModel>(gen::make_didactic(cfg),
+      : OneShot(gen::make_didactic(cfg)) {}
+  explicit OneShot(const model::ArchitectureDesc& desc)
+      : model(std::make_unique<core::EquivalentModel>(desc,
                                                       std::vector<bool>{})) {
     const auto out = model->run();
     EXPECT_TRUE(out.completed);
   }
 };
+
+/// Serves stream source 0 of a scenario document from a token table.
+class TokenTable final : public serve::StreamSourceFactory {
+ public:
+  explicit TokenTable(const std::vector<serve::Session::FedToken>& tokens) {
+    for (const serve::Session::FedToken& t : tokens) {
+      earliest_ps_.push_back(t.earliest_ps);
+      attrs_.push_back(t.attrs);
+    }
+  }
+
+  Fns make_stream_source(std::size_t, const std::string&,
+                         std::uint64_t) override {
+    return Fns{serve::TableTimeFn{std::make_shared<const std::vector<
+                   std::int64_t>>(earliest_ps_)},
+               serve::TableAttrsFn{std::make_shared<
+                   const std::vector<model::TokenAttrs>>(attrs_)}};
+  }
+
+ private:
+  std::vector<std::int64_t> earliest_ps_;
+  std::vector<model::TokenAttrs> attrs_;
+};
+
+/// One-shot reference run of a stream \p scenario document whose source
+/// releases exactly \p tokens.
+OneShot table_run(const std::string& scenario,
+                  const std::vector<serve::Session::FedToken>& tokens) {
+  TokenTable table(tokens);
+  return OneShot(serve::desc_from_json(scenario, &table));
+}
 
 void expect_matches_one_shot(const serve::Session& session,
                              const OneShot& ref) {
@@ -433,6 +467,62 @@ TEST(SessionTest, RestoreRejectsTokensWithoutFourParams) {
   }
 }
 
+// Every checkpointed param must restore as fed. A non-finite param (a
+// checkpoint writes it as null) is refused at feed, feeding nothing; -0.0
+// keeps its sign (`-0` used to read back as the integer 0).
+TEST(SessionTest, ParamsSurviveCheckpointAndRestore) {
+  const gen::DidacticConfig cfg = small_didactic();
+  std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::Session session(streamified_didactic(cfg));
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<serve::Session::FedToken> batch(tokens.begin(),
+                                                tokens.begin() + 2);
+    batch[1].attrs.params[2] = bad;
+    EXPECT_THROW(session.feed(0, batch), serve::SessionError);
+    EXPECT_EQ(session.fed(0), 0u);
+  }
+  tokens[1].attrs.params[0] = -0.0;
+  session.feed(0, {tokens.begin(), tokens.begin() + 4});
+  (void)session.poll();
+  const std::string ckpt = session.checkpoint();
+  EXPECT_EQ(serve::Session::restore(ckpt)->checkpoint(), ckpt);
+}
+
+// Restore checks the checkpointed progress against the fed tokens before
+// replaying it: an advance past their stream watermark, or a completed
+// run with a stream not fully fed, is a restore error, not a replay that
+// fails on an unfed token.
+TEST(SessionTest, RestoreRejectsProgressTheFedTokensCannotReach) {
+  const gen::DidacticConfig cfg = small_didactic();
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::Session session(streamified_didactic(cfg));
+  session.feed(0, {tokens.begin(), tokens.begin() + 4});
+  (void)session.poll();
+  const JsonValue doc = json_parse(session.checkpoint());
+  ASSERT_EQ(doc.at("advanced_ps").as_int64(), tokens[3].earliest_ps - 1);
+
+  const auto expect_rejected = [&doc](const std::string& key, JsonValue v,
+                                      const std::string& what) {
+    auto members = doc.members();
+    members[key] = std::move(v);
+    try {
+      (void)serve::Session::restore(json_dump(JsonValue::object(members)));
+      ADD_FAILURE() << "restored with " << key << " tampered";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(what, 0), 0u) << e.what();
+    }
+  };
+  expect_rejected("advanced_ps", JsonValue::integer(tokens[3].earliest_ps),
+                  "restore: advanced_ps " +
+                      std::to_string(tokens[3].earliest_ps) +
+                      " is past the stream watermark");
+  expect_rejected("completed", JsonValue::boolean(true),
+                  "restore: the checkpoint is completed but stream source "
+                  "'F0' is fed 4 of 9 tokens");
+}
+
 TEST(SessionTest, CheckpointRefusesWhileGuardStopped) {
   serve::Session::Options opts;
   opts.guards.max_events = 1;  // trips immediately
@@ -456,6 +546,57 @@ TEST(SessionTest, SessionsShareACompileCache) {
   // identity keeps them separate entries (the behavioural-sharing rule).
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.size, 2u);
+}
+
+// Sessions on one template share its decode and its compiled program and
+// bind only their own streams: twins fed different tokens, interleaved,
+// each match their own one-shot run bit for bit, and so does a restore of
+// one twin taken while the other is still live.
+TEST(SessionTest, TwinsOnOneTemplateMatchTheirOwnOneShotRuns) {
+  gen::DidacticConfig cfg_b = small_didactic();
+  cfg_b.seed = 7;
+  const std::string scenario = streamified_didactic(small_didactic());
+  ASSERT_EQ(scenario, streamified_didactic(cfg_b));
+  const std::vector<serve::Session::FedToken> ta =
+      didactic_tokens(small_didactic());
+  std::vector<serve::Session::FedToken> tb = didactic_tokens(cfg_b);
+  for (serve::Session::FedToken& t : tb) t.earliest_ps += 3'000'000;
+  ASSERT_NE(ta[0].attrs.size, tb[0].attrs.size);
+
+  serve::ProgramCache cache(8);
+  serve::Session::Options opts;
+  opts.compiled = &cache;
+  const serve::TemplatePtr tmpl = cache.scenario(scenario);
+  serve::Session a(tmpl, opts);
+  serve::Session b(tmpl, opts);
+  EXPECT_EQ(&a.model().compiled(), &b.model().compiled());
+  EXPECT_NE(&a.desc(), tmpl->desc.get());
+  EXPECT_NE(&a.desc(), &b.desc());
+
+  a.feed(0, {ta.begin(), ta.begin() + 3});
+  b.feed(0, {tb.begin(), tb.begin() + 5});
+  (void)a.poll();
+  (void)b.poll();
+  const std::unique_ptr<serve::Session> restored =
+      serve::Session::restore(a.checkpoint(), opts, &cache);
+  EXPECT_EQ(&restored->model().compiled(), &b.model().compiled());
+  for (serve::Session* s : {&a, restored.get(), &b}) {
+    const auto& tokens = s == &b ? tb : ta;
+    s->feed(0, {tokens.begin() + static_cast<std::ptrdiff_t>(s->fed(0)),
+                tokens.end()});
+    EXPECT_TRUE(s->poll().completed);
+  }
+  const serve::ProgramCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+
+  const OneShot ref_a = table_run(scenario, ta);
+  expect_matches_one_shot(a, ref_a);
+  expect_matches_one_shot(*restored, ref_a);
+  expect_matches_one_shot(b, table_run(scenario, tb));
+  // The template never served a token: its stubs still throw.
+  EXPECT_THROW((void)tmpl->desc->sources()[0].earliest(0), serve::WireError);
+  EXPECT_THROW((void)tmpl->desc->sources()[0].attrs(0), serve::WireError);
 }
 
 // ----------------------------------------------------------- protocol ----
@@ -588,6 +729,133 @@ TEST(ProtocolTest, DeeplyNestedLineFailsInBandAndServingContinues) {
   const JsonValue stats = json_parse(server.handle(R"({"cmd":"stats"})"));
   EXPECT_TRUE(stats.at("ok").as_bool());
   EXPECT_EQ(stats.at("sessions").as_uint64(), 0u);
+}
+
+/// \p v written with every object's members in reverse order and spaced
+/// the way Python's json.dumps writes.
+std::string reversed_spaced(const JsonValue& v) {
+  if (v.is_array()) {
+    std::string out = "[";
+    for (const JsonValue& item : v.items())
+      out += (out.size() > 1 ? ", " : "") + reversed_spaced(item);
+    return out + "]";
+  }
+  if (!v.is_object()) return json_dump(v);
+  std::string out = "{";
+  const auto& members = v.members();
+  for (auto it = members.rbegin(); it != members.rend(); ++it)
+    out += (out.size() > 1 ? ", " : "") + json_dump(JsonValue::string(it->first)) +
+           ": " + reversed_spaced(it->second);
+  return out + "}";
+}
+
+/// A `submit` request line carrying \p scenario_text as a `scenario`
+/// object, verbatim.
+std::string submit_object_line(const std::string& session,
+                               const std::string& scenario_text) {
+  return R"({"cmd": "submit", "session": )" +
+         json_dump(JsonValue::string(session)) +
+         R"(, "scenario": )" + scenario_text + "}";
+}
+
+// The server shares by document identity: copies of one `scenario` object
+// that differ only in whitespace or member order share one decoded
+// template and one compiled program; documents that differ do not.
+TEST(ProtocolTest, IdenticalDocumentsShareOneTemplateAndProgram) {
+  serve::Server server;
+  const std::string scenario = streamified_didactic(small_didactic());
+  const std::string other = with_source_count(scenario, 10);
+  const auto submit = [&server](const std::string& line) {
+    const std::string reply = server.handle(line);
+    EXPECT_TRUE(json_parse(reply).at("ok").as_bool()) << reply;
+  };
+  const auto expect_cache = [&server](std::uint64_t misses,
+                                      std::uint64_t hits) {
+    const serve::ProgramCache::Stats s = server.cache().stats();
+    EXPECT_EQ(s.misses, misses);
+    EXPECT_EQ(s.hits, hits);
+  };
+
+  submit(submit_object_line("a", scenario));
+  expect_cache(1, 0);
+  submit(submit_object_line("b", reversed_spaced(json_parse(scenario))));
+  expect_cache(1, 1);
+  submit(submit_line("c", scenario));  // the same bytes as a string
+  expect_cache(1, 2);
+  submit(submit_object_line("d", other));
+  expect_cache(2, 2);
+  submit(submit_line("e", reversed_spaced(json_parse(scenario))));
+  expect_cache(3, 2);  // a string is its bytes: no canonical form
+}
+
+// The benchmark's serve loop in small: two documents, four sessions each,
+// every session checkpointed, closed and restored mid-stream. Each
+// document is decoded and compiled once: 16 compiled lookups, 2 misses.
+TEST(ProtocolTest, ServeStreamShapedScriptCompilesEachDocumentOnce) {
+  gen::DidacticConfig limited = small_didactic();
+  limited.p2_limited_concurrency = true;
+  const std::vector<std::string> docs = {
+      streamified_didactic(small_didactic()), streamified_didactic(limited)};
+  ASSERT_NE(docs[0], docs[1]);
+  const std::vector<serve::Session::FedToken> tokens =
+      didactic_tokens(small_didactic());
+  serve::Server server;
+  const auto request = [&server](const std::string& line) {
+    const std::string reply = server.handle(line);
+    const JsonValue v = json_parse(reply);
+    EXPECT_TRUE(v.at("ok").as_bool()) << reply;
+    return v;
+  };
+  const auto verb = [](const char* cmd, const std::string& session) {
+    JsonWriter w;
+    w.begin_object().field("cmd", cmd).field("session", session).end_object();
+    return w.str();
+  };
+  constexpr std::size_t kSessions = 8;
+  const auto name = [](std::size_t i) { return "s" + std::to_string(i); };
+  for (std::size_t i = 0; i < kSessions; ++i)
+    (void)request(submit_object_line(name(i), docs[i % 2]));
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    (void)request(feed_line(name(i), tokens, 0, 4));
+    (void)request(verb("poll", name(i)));
+    const JsonValue ckpt = request(verb("checkpoint", name(i)));
+    (void)request(verb("close", name(i)));
+    JsonWriter w;
+    w.begin_object()
+        .field("cmd", "restore")
+        .field("session", name(i))
+        .field("checkpoint", ckpt.at("checkpoint").as_string())
+        .end_object();
+    (void)request(w.str());
+  }
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    (void)request(feed_line(name(i), tokens, 4, tokens.size()));
+    EXPECT_TRUE(request(verb("poll", name(i))).at("completed").as_bool());
+  }
+  const JsonValue stats = request(R"({"cmd":"stats"})");
+  EXPECT_EQ(stats.at("cache").at("misses").as_uint64(), 2u);
+  EXPECT_EQ(stats.at("cache").at("hits").as_uint64(), 14u);
+}
+
+// A param literal that overflows to infinity fails the feed in band: a
+// checkpoint could not carry it.
+TEST(ProtocolTest, NonFiniteParamFailsTheFeedInBand) {
+  serve::Server server;
+  const std::string scenario = streamified_didactic(small_didactic());
+  ASSERT_TRUE(json_parse(server.handle(submit_line("s", scenario)))
+                  .at("ok")
+                  .as_bool());
+  const JsonValue reply = json_parse(server.handle(
+      R"({"cmd":"feed","session":"s","source":0,"tokens":[)"
+      R"({"earliest_ps":0,"attrs":{"size":1,"params":[1e400,2,3,4]}}]})"));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").as_string().find("must be finite"),
+            std::string::npos);
+  const JsonValue ckpt =
+      json_parse(server.handle(R"({"cmd":"checkpoint","session":"s"})"));
+  ASSERT_TRUE(ckpt.at("ok").as_bool());
+  EXPECT_EQ(serve::Session::restore(ckpt.at("checkpoint").as_string())->fed(0),
+            0u);
 }
 
 // ------------------------------------------------- study integration ----
