@@ -5,7 +5,6 @@
 
 #include "util/crew.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace maxev::core {
 
@@ -241,24 +240,24 @@ void EquivalentModel::install_drain(int threads) {
     for (Group& g : groups_) any = g.engine->flush() || any;
     return any;
   };
-  const std::size_t drain_threads =
-      threads == 1 ? 1 : util::ThreadPool::resolve(threads);
+  const std::size_t drain_threads = util::resolve_threads(threads);
   if (drain_threads <= 1 || groups_.size() <= 1) {
     runtime_->kernel().set_timestep_hook(serial_drain);
     return;
   }
   drained_.assign(groups_.size(), 0);
+  drain_body_ = [this](std::size_t g) {
+    drained_[g] = groups_[g].engine->flush_deferred() ? 1 : 0;
+  };
   // The caller runs slot 0; the crew spawns at most one worker per
   // further group.
   crew_ = std::make_unique<util::Crew>(
-      drain_threads - 1, groups_.size(), [this](std::size_t g) {
-        drained_[g] = groups_[g].engine->flush_deferred() ? 1 : 0;
-      });
+      std::min(drain_threads, groups_.size()) - 1);
   runtime_->kernel().set_timestep_hook([this, serial_drain] {
     std::size_t busy = 0;
     for (const Group& g : groups_) busy += g.engine->has_work() ? 1 : 0;
     if (busy < 2) return serial_drain();
-    crew_->run();
+    crew_->run(groups_.size(), drain_body_);
     bool any = false;
     for (std::size_t g = 0; g < groups_.size(); ++g) {
       groups_[g].engine->fire_deferred();

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -229,6 +231,8 @@ class EquivalentModel {
   /// Per-group "flush did work" flags of one parallel drain (char, not
   /// bool: vector<bool> packs bits and adjacent writes would race).
   std::vector<char> drained_;
+  /// One group's flush_deferred, the crew's body at every parallel drain.
+  std::function<void(std::size_t)> drain_body_;
   /// Present only when Options::threads enables the parallel drain.
   /// Declared after everything its workers touch, so it joins them first.
   std::unique_ptr<util::Crew> crew_;

@@ -1,17 +1,15 @@
 #include "model/desc.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "model/arith.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace maxev::model {
 
 Duration ResourceDesc::duration_for(std::int64_t ops) const {
-  if (ops <= 0) return Duration::ps(0);
-  const double ps = static_cast<double>(ops) / ops_per_second * 1e12;
-  return Duration::ps(static_cast<std::int64_t>(std::llround(ps)));
+  return Duration::ps(arith::duration_ps(ops, ops_per_second));
 }
 
 ResourceId ArchitectureDesc::add_resource(std::string name,

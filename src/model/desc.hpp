@@ -62,9 +62,9 @@ struct ResourceDesc {
   ResourcePolicy policy = ResourcePolicy::kSequentialCyclic;
   double ops_per_second = 1e9;
 
-  /// Simulated execution time of \p ops operations on this resource.
-  /// Shared by the baseline and the dynamic computation path so both see
-  /// bit-identical durations.
+  /// Simulated execution time of \p ops operations on this resource
+  /// (model::arith::duration_ps, which the dynamic computation path calls
+  /// with the same rate, so both see bit-identical durations).
   [[nodiscard]] Duration duration_for(std::int64_t ops) const;
 };
 

@@ -1,21 +1,17 @@
 #include "model/load.hpp"
 
-#include <cmath>
-
+#include "model/arith.hpp"
 #include "util/error.hpp"
 
 namespace maxev::model {
 
 std::int64_t LinearOpsFn::operator()(const TokenAttrs& a,
                                      std::uint64_t) const {
-  const std::int64_t ops = base + per_unit * a.size;
-  return ops < 0 ? std::int64_t{0} : ops;
+  return arith::linear_ops(base, per_unit, a.size);
 }
 
 std::int64_t ParamOpsFn::operator()(const TokenAttrs& a, std::uint64_t) const {
-  const auto ops =
-      base + static_cast<std::int64_t>(std::llround(scale * a.params[param_index]));
-  return ops < 0 ? std::int64_t{0} : ops;
+  return arith::param_ops(base, scale, a.params[param_index]);
 }
 
 LoadFn constant_ops(std::int64_t ops) {

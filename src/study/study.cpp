@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -11,9 +10,10 @@
 
 #include "core/compiled.hpp"
 #include "serve/program_cache.hpp"
+#include "util/crew.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace maxev::study {
 
@@ -265,7 +265,7 @@ Report Study::run(const StudyOptions& opts) const {
   // the reference backend first, then the others by insertion. Cells are
   // keyed by their slot in this list, so the measure phase may run them in
   // any order (or concurrently) without perturbing the report; when
-  // several cells fail, parallel_for rethrows the lowest slot's exception
+  // several cells fail, the crew rethrows the lowest slot's exception
   // — exactly the error the serial pass would have surfaced first.
   struct Slot {
     std::size_t scenario = 0;
@@ -307,20 +307,13 @@ Report Study::run(const StudyOptions& opts) const {
       measured[i] = failed_cell(scenario, backend, e.what(), nullptr);
     }
   };
-  const std::size_t threads =
-      opts.threads == 1 ? 1 : util::ThreadPool::resolve(opts.threads);
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1 && slots.size() > 1)
-    pool.emplace(std::min(threads, slots.size()) - 1);
-  const auto for_each_index =
-      [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
-        if (pool) {
-          pool->parallel_for(n, body);
-        } else {
-          for (std::size_t i = 0; i < n; ++i) body(i);
-        }
-      };
-  for_each_index(slots.size(), measure_slot);
+  // One crew for both phases; the caller is one of its slots. The fault
+  // point marks each phase's start: study infrastructure, not a cell, so
+  // it fails the matrix even under isolation.
+  util::Crew crew(
+      std::min(util::resolve_threads(opts.threads), slots.size()) - 1);
+  MAXEV_FAULT_POINT("pool.parallel_for");
+  crew.run(slots.size(), measure_slot);
 
   // Attribute cache hits/misses by replaying each cell's recorded key
   // sequence through a simulated LRU in slot order — exactly what the
@@ -346,7 +339,8 @@ Report Study::run(const StudyOptions& opts) const {
   const std::size_t others = backends_.size() - 1;
   std::vector<std::optional<ErrorStats>> errors(slots.size());
   if (compare && others > 0) {
-    for_each_index(scenarios_.size() * others, [&](std::size_t i) {
+    MAXEV_FAULT_POINT("pool.parallel_for");
+    crew.run(scenarios_.size() * others, [&](std::size_t i) {
       const std::size_t ref_slot = i / others * backends_.size();
       const std::size_t slot = ref_slot + 1 + i % others;
       if (usable(measured[ref_slot]) && usable(measured[slot]))

@@ -1,8 +1,8 @@
 #include "tdg/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "model/arith.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -440,12 +440,7 @@ mp::Scalar Engine::compute_one(Frame& f, NodeId n, std::uint64_t k,
           d_ps = prog_.op_const_dps[j];
         } else {
           ops = ops::eval_load(prog_.load_ops, li, attrs(), k, prog_.loads);
-          // ResourceDesc::duration_for(ops), inlined with the pre-resolved
-          // rate constant (identical arithmetic, hence identical instants).
-          d_ps = ops <= 0 ? 0
-                          : static_cast<std::int64_t>(std::llround(
-                                static_cast<double>(ops) / prog_.op_rate[j] *
-                                1e12));
+          d_ps = model::arith::duration_ps(ops, prog_.op_rate[j]);
         }
         const mp::Scalar end_pos =
             cursor * mp::Scalar::from_duration(Duration::ps(d_ps));

@@ -1,9 +1,9 @@
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "model/arith.hpp"
 #include "model/load.hpp"
 #include "model/token.hpp"
 
@@ -16,10 +16,9 @@
 /// round-trips: classification happens once (`classify_load`), and both
 /// the engines' dispatch and the wire serializer consume the result.
 ///
-/// Contract: `eval_load` duplicates the functor arithmetic of
-/// model/load.cpp *exactly* — same clamps, same llround, same wraparound
-/// behaviour — so opcode dispatch and closure dispatch produce
-/// bit-identical operation counts (pinned per kind on an input grid by
+/// `eval_load` and the model/load.hpp functors share their arithmetic
+/// (model/arith.hpp), so opcode dispatch and closure dispatch produce the
+/// same operation counts (pinned per kind on an input grid by
 /// tests/test_ops.cpp). Closures that are not factory-built named
 /// functors classify as kOpaqueClosure and fall back to the hoisted
 /// std::function, preserving behaviour for arbitrary lambdas.
@@ -72,24 +71,18 @@ struct LoadTable {
 
 /// Enum-dispatched load evaluation; \p closures is the hoisted
 /// std::function side table, consulted only for kOpaqueClosure rows.
-/// MIRRORS model/load.cpp — any arithmetic change there must land here.
 [[nodiscard]] inline std::int64_t eval_load(
     const LoadTable& t, std::size_t i, const model::TokenAttrs& attrs,
     std::uint64_t k, const std::vector<model::LoadFn>& closures) {
   switch (static_cast<Kind>(t.kind[i])) {
     case Kind::kRateConstant:
       return t.a[i];
-    case Kind::kLinearOps: {
-      const std::int64_t ops = t.a[i] + t.b[i] * attrs.size;
-      return ops < 0 ? std::int64_t{0} : ops;
-    }
-    case Kind::kParamOps: {
-      const std::int64_t ops =
-          t.a[i] +
-          static_cast<std::int64_t>(std::llround(
-              t.scale[i] * attrs.params[static_cast<std::size_t>(t.index[i])]));
-      return ops < 0 ? std::int64_t{0} : ops;
-    }
+    case Kind::kLinearOps:
+      return model::arith::linear_ops(t.a[i], t.b[i], attrs.size);
+    case Kind::kParamOps:
+      return model::arith::param_ops(
+          t.a[i], t.scale[i],
+          attrs.params[static_cast<std::size_t>(t.index[i])]);
     case Kind::kCyclicOps:
       return t.cyc[static_cast<std::size_t>(t.index[i]) +
                    k % static_cast<std::uint64_t>(t.len[i])];

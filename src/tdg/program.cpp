@@ -1,8 +1,8 @@
 #include "tdg/program.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "model/arith.hpp"
 #include "util/error.hpp"
 
 namespace maxev::tdg {
@@ -157,14 +157,8 @@ void Program::compile_ops() {
     op_kind[j] = load_ops.kind[li];
     if (static_cast<ops::Kind>(load_ops.kind[li]) != ops::Kind::kRateConstant)
       continue;
-    // ResourceDesc::duration_for(ops) with a constant ops count: fold the
-    // whole duration at compile time (same expression as the engines' hot
-    // loops — identical instants by construction).
-    const std::int64_t ops_n = load_ops.a[li];
-    op_const_dps[j] =
-        ops_n <= 0 ? 0
-                   : static_cast<std::int64_t>(std::llround(
-                         static_cast<double>(ops_n) / op_rate[j] * 1e12));
+    // A constant ops count: fold the whole duration at compile time.
+    op_const_dps[j] = model::arith::duration_ps(load_ops.a[li], op_rate[j]);
   }
 }
 

@@ -80,7 +80,7 @@ struct Program {
   // ---- Segment program ops (arcs with execute segments) -------------------
   // Consecutive fixed segments are pre-folded into single entries; execute
   // entries carry a hoisted load, the resource's rate constant
-  // (ResourceDesc::duration_for becomes inlined arithmetic) and the
+  // (for model::arith::duration_ps, as ResourceDesc::duration_for) and the
   // observation metadata the engines bind to concrete sinks.
   std::vector<std::uint8_t> op_exec;
   std::vector<mp::Scalar> op_fixed;       ///< fixed entries

@@ -1,6 +1,5 @@
 #include "util/crew.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -38,14 +37,16 @@ bool spin_until(Done done) {
 
 }  // namespace
 
-Crew::Crew(std::size_t workers, std::size_t n,
-           std::function<void(std::size_t)> body)
-    : body_(std::move(body)), n_(n), errors_(n) {
-  const std::size_t count = n > 1 ? std::min(workers, n - 1) : 0;
-  stride_ = count + 1;
-  threads_.reserve(count);
+std::size_t resolve_threads(int threads) {
+  if (threads > 0) return static_cast<std::size_t>(threads);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+Crew::Crew(std::size_t workers) : stride_(workers + 1) {
+  threads_.reserve(workers);
   try {
-    for (std::size_t slot = 1; slot <= count; ++slot)
+    for (std::size_t slot = 1; slot <= workers; ++slot)
       threads_.emplace_back([this, slot] { worker_loop(slot); });
   } catch (...) {
     stop();  // join the workers already started
@@ -62,14 +63,21 @@ void Crew::stop() noexcept {
   for (std::thread& t : threads_) t.join();
 }
 
-void Crew::run_slot(std::size_t slot) noexcept {
-  for (std::size_t i = slot; i < n_; i += stride_) {
-    try {
-      body_(i);
-    } catch (...) {
-      errors_[i] = std::current_exception();
-    }
+void Crew::run_index(std::size_t i) noexcept {
+  try {
+    (*body_)(i);
+  } catch (...) {
+    errors_[i] = std::current_exception();
   }
+}
+
+void Crew::run_slot(std::size_t slot) noexcept {
+  if (slot >= n_) return;
+  run_index(slot);
+  if (n_ <= stride_) return;
+  for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < n_;
+       i = next_.fetch_add(1, std::memory_order_relaxed))
+    run_index(i);
 }
 
 void Crew::worker_loop(std::size_t slot) {
@@ -99,15 +107,34 @@ void Crew::worker_loop(std::size_t slot) {
   }
 }
 
-void Crew::run() {
-  if (!threads_.empty()) {
-    remaining_.store(static_cast<std::uint32_t>(threads_.size()),
-                     std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_seq_cst);  // publishes remaining_
-    if (sleepers_.load(std::memory_order_seq_cst) != 0) epoch_.notify_all();
+void Crew::run(std::size_t n, const std::function<void(std::size_t)>& body) {
+  if (threads_.empty() || n <= 1 || in_epoch_) {
+    // Inline, in index order; every index runs and the lowest failure is
+    // rethrown, as in an epoch. Touches no epoch state, so a nested call
+    // leaves the open epoch intact.
+    std::exception_ptr first;
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!first) first = std::current_exception();
+      }
+    }
+    if (first) std::rethrow_exception(first);
+    return;
   }
+
+  body_ = &body;
+  n_ = n;
+  in_epoch_ = true;
+  if (errors_.size() < n) errors_.resize(n);
+  if (n > stride_) next_.store(stride_, std::memory_order_relaxed);
+  remaining_.store(static_cast<std::uint32_t>(threads_.size()),
+                   std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_seq_cst);  // publishes the above
+  if (sleepers_.load(std::memory_order_seq_cst) != 0) epoch_.notify_all();
   run_slot(0);
-  if (!threads_.empty() && !spin_until([this] {
+  if (!spin_until([this] {
         return remaining_.load(std::memory_order_acquire) == 0;
       })) {
     caller_asleep_.store(true, std::memory_order_seq_cst);
@@ -116,13 +143,14 @@ void Crew::run() {
       remaining_.wait(left, std::memory_order_seq_cst);
     caller_asleep_.store(false, std::memory_order_relaxed);
   }
+  in_epoch_ = false;
 
   // Every index ran. Clear the epoch's slots and rethrow the lowest one;
   // the exception dies on this thread.
   std::exception_ptr first;
-  for (std::exception_ptr& error : errors_) {
-    if (error && !first) first = std::move(error);
-    error = nullptr;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (errors_[i] && !first) first = std::move(errors_[i]);
+    errors_[i] = nullptr;
   }
   if (first) std::rethrow_exception(first);
 }

@@ -9,18 +9,20 @@
 #include <vector>
 
 /// \file crew.hpp
-/// A persistent barrier crew for one fixed fan-out repeated many times: the
-/// per-group batch drain at every kernel timestep barrier
-/// (docs/DESIGN.md §11). Where util::ThreadPool::parallel_for pays a queue
-/// push, a shared batch allocation and a condition-variable round trip per
-/// call, a Crew is bound once to its body and index count, and one run()
-/// is one *epoch*: an atomic counter bump the workers watch, a static
-/// index split, and an atomic countdown the caller watches. No allocation,
-/// no std::function construction and no mutex per epoch.
+/// The library's one parallel primitive (docs/DESIGN.md §11): a persistent
+/// crew of workers that runs body(0) .. body(n-1) across itself and the
+/// calling thread, one *epoch* per run(). It serves both parallelism
+/// levers: the study matrix's measure and compare phases (few, uneven
+/// indices per epoch) and the per-group drain at every timestep barrier of
+/// a composed run (n ≤ slots, repeated many times). An epoch is an atomic
+/// counter bump the workers watch and an atomic countdown the caller
+/// watches: no allocation, no std::function construction and no mutex.
 ///
-///  * **Static slots.** The caller is slot 0 and worker w is slot w; slot s
-///    runs indices s, s + stride, s + 2·stride, ... (stride = workers + 1),
-///    so no index dispenser is needed.
+///  * **One claim rule.** The caller is slot 0 and worker w is slot w
+///    (stride = workers + 1). Slot s first runs index s, then claims
+///    further indices from one atomic counter that starts at stride. When
+///    n ≤ stride no slot touches the counter; uneven indices above it are
+///    balanced by the claims.
 ///  * **Spin, then sleep.** After an epoch a worker spins for a short,
 ///    bounded window watching the epoch counter, then sleeps in
 ///    std::atomic::wait; run() notifies only when a worker sleeps. The
@@ -29,17 +31,24 @@
 ///  * **Deterministic failure.** Every index runs every epoch; exceptions
 ///    are kept per index and the lowest index's is rethrown on the caller's
 ///    thread once the epoch completed.
+///  * **Inline when there is nothing to share.** With no workers, with
+///    n ≤ 1, or when issued from inside an epoch of the same crew (a body
+///    fanning out again), run() executes its indices in order on the
+///    calling thread, under the same failure rule.
 ///
-/// One caller at a time: run() is not reentrant and not thread-safe.
+/// One caller at a time: run() is not thread-safe, except for the nested
+/// calls above.
 
 namespace maxev::util {
 
+/// Map a user-facing thread-count knob to a thread count: 0 = one per
+/// hardware thread, otherwise the value itself.
+[[nodiscard]] std::size_t resolve_threads(int threads);
+
 class Crew {
  public:
-  /// Bind \p body over indices [0, n) and spawn min(workers, n - 1)
-  /// sleeping threads (a worker beyond that would own no index).
-  Crew(std::size_t workers, std::size_t n,
-       std::function<void(std::size_t)> body);
+  /// Spawn \p workers sleeping threads; Crew(0) runs everything inline.
+  explicit Crew(std::size_t workers);
 
   /// Wakes and joins the workers.
   ~Crew();
@@ -51,22 +60,30 @@ class Crew {
 
   /// One epoch: body(0) .. body(n-1) across the workers and this thread,
   /// returning when all n calls finished. Rethrows the lowest-index
-  /// exception, if any; the crew stays usable.
-  void run();
+  /// exception, if any; the crew stays usable. \p body must outlive the
+  /// call.
+  void run(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
   void worker_loop(std::size_t slot);
   void run_slot(std::size_t slot) noexcept;
+  void run_index(std::size_t i) noexcept;
   /// Wake every worker to exit and join it.
   void stop() noexcept;
 
-  const std::function<void(std::size_t)> body_;
-  const std::size_t n_;
-  std::size_t stride_ = 1;
+  const std::size_t stride_;
+  /// The current epoch's body and index count, and whether one is open
+  /// (written by the caller between epochs, published by the epoch bump).
+  const std::function<void(std::size_t)>* body_ = nullptr;
+  std::size_t n_ = 0;
+  bool in_epoch_ = false;
   /// Per-index exception of the current epoch (written by the index's
-  /// slot, read by the caller after the countdown reached zero).
+  /// slot, read by the caller after the countdown reached zero). Grows
+  /// only when n does.
   std::vector<std::exception_ptr> errors_;
 
+  /// Next index to claim once every slot ran its own.
+  std::atomic<std::size_t> next_{0};
   /// Bumped once per epoch, and once more to stop.
   std::atomic<std::uint32_t> epoch_{0};
   /// Workers yet to finish the current epoch.

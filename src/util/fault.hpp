@@ -23,7 +23,8 @@
 ///   kernel.dispatch      sim::Kernel event dispatch, between pop and resume
 ///   engine.flush         tdg::Engine instant-series flushes during drains
 ///   trace.append         trace::UsageTrace::push
-///   pool.parallel_for    util::ThreadPool::parallel_for entry
+///   pool.parallel_for    study::Study::run, where its crew starts the
+///                        measure or the compare phase
 ///   adaptive.fastforward study::AdaptiveModel commit, after certification
 ///                        and staging but before any trace is extended
 

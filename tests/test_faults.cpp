@@ -121,7 +121,7 @@ TEST_F(FaultInjectionTest, PoolFaultPropagatesFromAParallelStudy) {
   study::StudyOptions opts;
   opts.threads = 2;
 
-  // The pool entry is study infrastructure, not a cell: it fails the
+  // The crew's phase start is study infrastructure, not a cell: it fails the
   // matrix even with isolation on.
   opts.isolate_failures = true;
   FaultInjector::arm("pool.parallel_for", 1);

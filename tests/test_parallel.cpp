@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -20,13 +21,13 @@
 #include "trace/usage.hpp"
 #include "util/crew.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
-/// The threading layer (docs/DESIGN.md §11): util::ThreadPool and
-/// util::Crew semantics, and the determinism contract of both parallelism
-/// levers — a thread-parallel study matrix and parallel per-group batch
-/// drains must be bit-identical to their serial counterparts, run after
-/// run.
+/// The threading layer (docs/DESIGN.md §11): util::Crew semantics — the
+/// study matrix's uneven phases (the ThreadPoolTest names, kept from the
+/// pool the crew replaced) and the drain's repeated epochs (CrewTest) —
+/// and the determinism contract of both parallelism levers: a
+/// thread-parallel study matrix and parallel per-group batch drains must
+/// be bit-identical to their serial counterparts, run after run.
 
 namespace maxev {
 namespace {
@@ -37,23 +38,23 @@ using study::RunConfig;
 using study::Scenario;
 using study::StudyOptions;
 
-// ------------------------------------------------------------- ThreadPool
+// ------------------------------------------------ Crew: the matrix's phases
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  util::ThreadPool pool(3);
-  EXPECT_EQ(pool.worker_count(), 3u);
+  util::Crew crew(3);
+  EXPECT_EQ(crew.worker_count(), 3u);
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+  crew.run(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ThreadPoolTest, ZeroAndOneIndexDegenerate) {
-  util::ThreadPool pool(2);
+  util::Crew crew(2);
   int calls = 0;
-  pool.parallel_for(0, [&](std::size_t) { ++calls; });
+  crew.run(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  pool.parallel_for(1, [&](std::size_t i) {
+  crew.run(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
     ++calls;
   });
@@ -61,24 +62,25 @@ TEST(ThreadPoolTest, ZeroAndOneIndexDegenerate) {
 }
 
 TEST(ThreadPoolTest, ClampsZeroWorkersToOne) {
-  util::ThreadPool pool(0);
-  EXPECT_EQ(pool.worker_count(), 1u);
+  // No clamp any more: Crew(0) spawns nothing and runs every index inline.
+  util::Crew crew(0);
+  EXPECT_EQ(crew.worker_count(), 0u);
   std::atomic<int> calls{0};
-  pool.parallel_for(8, [&](std::size_t) { calls.fetch_add(1); });
+  crew.run(8, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 8);
 }
 
 TEST(ThreadPoolTest, LowestIndexExceptionWins) {
-  util::ThreadPool pool(4);
+  util::Crew crew(4);
   // Several indices throw; completion order is scheduling noise, but the
   // rethrown exception must always be index 3's.
   for (int round = 0; round < 20; ++round) {
     try {
-      pool.parallel_for(64, [&](std::size_t i) {
+      crew.run(64, [&](std::size_t i) {
         if (i == 3 || i == 40 || i == 63)
           throw std::runtime_error("idx " + std::to_string(i));
       });
-      FAIL() << "parallel_for swallowed the exceptions";
+      FAIL() << "run swallowed the exceptions";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "idx 3");
     }
@@ -86,37 +88,53 @@ TEST(ThreadPoolTest, LowestIndexExceptionWins) {
 }
 
 TEST(ThreadPoolTest, ExceptionDoesNotAbandonOtherIndices) {
-  util::ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(32);
-  EXPECT_THROW(pool.parallel_for(32,
-                                 [&](std::size_t i) {
-                                   hits[i].fetch_add(1);
-                                   if (i == 0) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
-  // Every index still ran (the barrier completes before rethrowing).
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+  for (const std::size_t workers : {0u, 2u}) {
+    util::Crew crew(workers);
+    std::vector<std::atomic<int>> hits(32);
+    EXPECT_THROW(crew.run(32,
+                          [&](std::size_t i) {
+                            hits[i].fetch_add(1);
+                            if (i == 0) throw std::runtime_error("x");
+                          }),
+                 std::runtime_error);
+    // Every index still ran (the epoch completes before rethrowing), inline
+    // or not.
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers;
+  }
 }
 
 TEST(ThreadPoolTest, NestedParallelForCompletes) {
-  // A pool task fanning out again must not deadlock even when every worker
-  // is occupied by the outer level: the nested caller claims and runs its
-  // own indices.
-  util::ThreadPool pool(2);
+  // A body fanning out again on its own crew must not deadlock while every
+  // worker is occupied by the outer epoch: the nested run executes its
+  // indices inline on the calling thread.
+  util::Crew crew(2);
   std::atomic<int> inner{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    pool.parallel_for(8, [&](std::size_t) { inner.fetch_add(1); });
+  crew.run(8, [&](std::size_t) {
+    crew.run(8, [&](std::size_t) { inner.fetch_add(1); });
   });
   EXPECT_EQ(inner.load(), 64);
+  // The inline nested run keeps the lowest-index rethrow.
+  try {
+    crew.run(4, [&](std::size_t) {
+      crew.run(8, [&](std::size_t i) {
+        if (i == 2 || i == 5)
+          throw std::runtime_error("idx " + std::to_string(i));
+      });
+    });
+    FAIL() << "run swallowed the nested exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "idx 2");
+  }
 }
 
 TEST(ThreadPoolTest, ResolveMapsKnobToWorkerCount) {
-  EXPECT_EQ(util::ThreadPool::resolve(1), 1u);
-  EXPECT_EQ(util::ThreadPool::resolve(7), 7u);
-  EXPECT_GE(util::ThreadPool::resolve(0), 1u);  // 0 = hardware concurrency
+  EXPECT_EQ(util::resolve_threads(1), 1u);
+  EXPECT_EQ(util::resolve_threads(7), 7u);
+  EXPECT_GE(util::resolve_threads(0), 1u);  // 0 = hardware concurrency
 }
 
-// ------------------------------------------------------------------- Crew
+// ------------------------------------------------- Crew: the drain's epochs
 
 TEST(CrewTest, EveryIndexRunsOncePerEpoch) {
   // Plain (non-atomic) counters: each index is written by one slot per
@@ -126,11 +144,13 @@ TEST(CrewTest, EveryIndexRunsOncePerEpoch) {
   for (const std::size_t workers : {1u, 2u, 3u}) {
     for (const std::size_t n : {2u, 3u, 5u}) {
       std::vector<int> hits(n, 0);
-      util::Crew crew(workers, n, [&](std::size_t i) { ++hits[i]; });
-      EXPECT_EQ(crew.worker_count(), std::min(workers, n - 1));
+      const std::function<void(std::size_t)> body = [&](std::size_t i) {
+        ++hits[i];
+      };
+      util::Crew crew(workers);
       int wrong = 0;
       for (int epoch = 1; epoch <= kEpochs; ++epoch) {
-        crew.run();
+        crew.run(n, body);
         for (std::size_t i = 0; i < n; ++i) wrong += hits[i] != epoch;
       }
       EXPECT_EQ(wrong, 0) << "workers=" << workers << " n=" << n;
@@ -138,19 +158,63 @@ TEST(CrewTest, EveryIndexRunsOncePerEpoch) {
   }
 }
 
+TEST(CrewTest, UnevenIndicesAreClaimedNotStrided) {
+  // Two slots, eight indices. Index 0 holds the caller's slot until 1..7
+  // have all run: the worker must claim them one by one. A static stride
+  // split would strand 2, 4 and 6 behind index 0.
+  util::Crew crew(1);
+  constexpr std::size_t kN = 8;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::size_t> others{0};
+  bool stranded = false;  // written by index 0 only, read after run()
+  crew.run(kN, [&](std::size_t i) {
+    if (i != 0) {
+      hits[i].fetch_add(1);
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others.load() < kN - 1) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        stranded = true;
+        break;
+      }
+      std::this_thread::yield();
+    }
+    hits[0].fetch_add(1);
+  });
+  EXPECT_FALSE(stranded) << others.load() << " of " << kN - 1
+                         << " other indices ran while index 0 waited";
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
+  // The drain's case (n <= slots: every slot runs its own index and claims
+  // nothing) still runs every index once per epoch, on the same crew.
+  std::vector<int> drained(2, 0);
+  const std::function<void(std::size_t)> drain = [&](std::size_t i) {
+    ++drained[i];
+  };
+  for (int epoch = 1; epoch <= 100; ++epoch) {
+    crew.run(drained.size(), drain);
+    for (const int d : drained) ASSERT_EQ(d, epoch);
+  }
+}
+
 TEST(CrewTest, LowestIndexExceptionWinsAndEveryIndexRuns) {
-  // workers = 2, n = 5: slot 0 runs {0, 3}, slot 1 {1, 4}, slot 2 {2}; the
-  // throwing indices all sit on worker threads.
+  // workers = 2, n = 5: slots 1 and 2 run indices 1 and 2, and 3 and 4 go
+  // to whichever slot claims them first; the throwing indices 1 and 2 sit
+  // on worker threads.
   std::vector<int> hits(5, 0);
   bool fail = true;  // written between epochs only
-  util::Crew crew(2, 5, [&](std::size_t i) {
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
     ++hits[i];
     if (fail && (i == 1 || i == 2 || i == 4))
       throw std::runtime_error("idx " + std::to_string(i));
-  });
+  };
+  util::Crew crew(2);
   for (int round = 0; round < 20; ++round) {
     try {
-      crew.run();
+      crew.run(hits.size(), body);
       FAIL() << "run swallowed the exceptions";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "idx 1");
@@ -159,7 +223,7 @@ TEST(CrewTest, LowestIndexExceptionWinsAndEveryIndexRuns) {
   for (const int h : hits) EXPECT_EQ(h, 20);
   // The next epoch runs normally.
   fail = false;
-  EXPECT_NO_THROW(crew.run());
+  EXPECT_NO_THROW(crew.run(hits.size(), body));
   for (const int h : hits) EXPECT_EQ(h, 21);
 }
 
@@ -167,13 +231,14 @@ TEST(CrewTest, SleepingWorkersAndCallerWake) {
   // Gaps between epochs outlast the spin window, so workers are asleep at
   // every run(); slow worker indices put the caller to sleep as well.
   std::vector<int> hits(3, 0);
-  util::Crew crew(2, 3, [&](std::size_t i) {
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
     if (i != 0) std::this_thread::sleep_for(std::chrono::microseconds(500));
     ++hits[i];
-  });
+  };
+  util::Crew crew(2);
   for (int epoch = 1; epoch <= 20; ++epoch) {
     std::this_thread::sleep_for(std::chrono::microseconds(500));
-    crew.run();
+    crew.run(hits.size(), body);
     for (const int h : hits) EXPECT_EQ(h, epoch);
   }
 }
@@ -181,12 +246,12 @@ TEST(CrewTest, SleepingWorkersAndCallerWake) {
 TEST(CrewTest, DestructionJoinsWithoutHanging) {
   for (int round = 0; round < 50; ++round) {
     // Never run: the workers are still in their first sleep.
-    { util::Crew idle(3, 4, [](std::size_t) {}); }
+    { util::Crew idle(3); }
     // Destroyed right after an epoch: the workers are still spinning.
     std::atomic<int> calls{0};
     {
-      util::Crew crew(3, 4, [&](std::size_t) { calls.fetch_add(1); });
-      crew.run();
+      util::Crew crew(3);
+      crew.run(4, [&](std::size_t) { calls.fetch_add(1); });
     }
     EXPECT_EQ(calls.load(), 4);
   }
@@ -513,7 +578,7 @@ TEST(ParallelDrainTest, NegativeThreadsRejected) {
 
 TEST(ParallelStudyTest, MatrixAndGroupThreadsCompose) {
   // threads (cells) on top of group_threads (drains inside each composed
-  // cell): every pool task builds and runs its own drain crew on real
+  // cell): every matrix cell builds and runs its own drain crew on real
   // work, and the report must still match the all-serial bytes.
   study::Study st;
   st.add(lte_4p4());
