@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <list>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -30,7 +33,8 @@ double ratio(std::uint64_t ref, std::uint64_t cell) {
 }
 
 /// One measured cell: repetitions of instantiate + run; the rep-0 model is
-/// kept alive (its traces are the comparison payload).
+/// kept until the cell's accuracy checks are done (its traces are the
+/// comparison payload).
 struct MeasuredCell {
   Cell cell;
   std::unique_ptr<Model> model;  // rep-0 model, traces intact
@@ -173,11 +177,6 @@ MeasuredCell measure(const Scenario& scenario, const Backend& backend,
   return out;
 }
 
-/// A measured cell with a model to read: neither failed nor empty.
-bool usable(const MeasuredCell& mc) {
-  return !mc.cell.failed && mc.model != nullptr;
-}
-
 /// The accuracy check of one cell against its scenario's reference. Reads
 /// both models through const accessors only, so several workers may check
 /// against one reference at once.
@@ -259,25 +258,25 @@ Report Study::run(const StudyOptions& opts) const {
   for (const Backend& b : backends_) report.backends.push_back(b.name());
   report.reference_backend = backends_[reference_].name();
 
-  const bool compare = opts.observe && opts.compare_traces;
-
   // Measurement order = the serial pass's execution order: per scenario
   // the reference backend first, then the others by insertion. Cells are
-  // keyed by their slot in this list, so the measure phase may run them in
-  // any order (or concurrently) without perturbing the report; when
-  // several cells fail, the crew rethrows the lowest slot's exception
-  // — exactly the error the serial pass would have surfaced first.
+  // keyed by their slot in this list, so workers may run them in any order
+  // (or concurrently) without perturbing the report; when several cells
+  // fail, the lowest slot's exception is rethrown — exactly the error the
+  // serial pass would have surfaced first.
   struct Slot {
     std::size_t scenario = 0;
     std::size_t backend = 0;
   };
+  const std::size_t width = backends_.size();  // slots per scenario
   std::vector<Slot> slots;
-  slots.reserve(scenarios_.size() * backends_.size());
+  slots.reserve(scenarios_.size() * width);
   for (std::size_t s = 0; s < scenarios_.size(); ++s) {
     slots.push_back({s, reference_});
-    for (std::size_t b = 0; b < backends_.size(); ++b)
+    for (std::size_t b = 0; b < width; ++b)
       if (b != reference_) slots.push_back({s, b});
   }
+  const std::size_t n = slots.size();
 
   // One program cache for the whole matrix (StudyOptions::program_cache):
   // every cell and repetition requesting an already-compiled structure
@@ -286,34 +285,153 @@ Report Study::run(const StudyOptions& opts) const {
   std::optional<serve::ProgramCache> cache;
   if (opts.program_cache) cache.emplace();
 
-  std::vector<MeasuredCell> measured(slots.size());
-  const auto measure_slot = [&](std::size_t i) {
+  // Slot-keyed results. A cell's exception (outside isolation) and a
+  // check's are kept apart: the serial pass would have failed on any cell
+  // before it checked one.
+  std::vector<MeasuredCell> measured(n);
+  std::vector<std::optional<ErrorStats>> errors(n);
+  std::vector<std::exception_ptr> cell_failures(n);
+  std::vector<std::exception_ptr> check_failures(n);
+
+  const auto measure_slot = [&](std::size_t i) noexcept {
     const Scenario& scenario = scenarios_[slots[i].scenario];
     const Backend& backend = backends_[slots[i].backend];
     core::CompiledProvider* const provider = cache ? &*cache : nullptr;
-    if (!opts.isolate_failures) {
-      measured[i] = measure(scenario, backend, opts, provider);
-      return;
-    }
     // Per-cell failure isolation: the cell's exception becomes a failed
-    // cell and the rest of the matrix keeps measuring. Since nothing
-    // escapes a slot, the slot-keyed layout (and hence the report) stays
+    // cell and the rest of the matrix keeps measuring; outside isolation
+    // it is kept for the rethrow after the epoch. Since nothing escapes a
+    // slot, the slot-keyed layout (and hence the report) stays
     // byte-identical at every thread count.
     try {
-      measured[i] = measure(scenario, backend, opts, provider);
-    } catch (const SimulationError& e) {
-      measured[i] = failed_cell(scenario, backend, e.what(), e.diagnostics());
-    } catch (const std::exception& e) {
-      measured[i] = failed_cell(scenario, backend, e.what(), nullptr);
+      try {
+        measured[i] = measure(scenario, backend, opts, provider);
+      } catch (const SimulationError& e) {
+        if (!opts.isolate_failures) throw;
+        measured[i] =
+            failed_cell(scenario, backend, e.what(), e.diagnostics());
+      } catch (const std::exception& e) {
+        if (!opts.isolate_failures) throw;
+        measured[i] = failed_cell(scenario, backend, e.what(), nullptr);
+      }
+    } catch (...) {
+      cell_failures[i] = std::current_exception();
     }
   };
-  // One crew for both phases; the caller is one of its slots. The fault
-  // point marks each phase's start: study infrastructure, not a cell, so
-  // it fails the matrix even under isolation.
-  util::Crew crew(
-      std::min(util::resolve_threads(opts.threads), slots.size()) - 1);
+
+  // The streaming schedule (docs/DESIGN.md §11): one crew epoch in which
+  // every slot runs the worker loop below over this state, guarded by mu.
+  // A worker takes a ready check first, else claims the next cell in slot
+  // order, else waits. Each model is released as soon as nothing will
+  // read it again, so only the open scenarios' models are alive at once.
+  const bool compare = opts.observe && opts.compare_traces && width > 1;
+  std::mutex mu;
+  std::condition_variable wake;
+  std::size_t next_cell = 0;
+  std::size_t busy = 0;  // workers measuring a cell or running a check
+  // Non-reference slots whose check is due; each is queued at most once,
+  // so the reservation keeps the loop allocation-free.
+  std::vector<std::size_t> ready;
+  ready.reserve(n);
+  std::size_t ready_head = 0;
+  std::vector<bool> done(n, false);
+  // Recorded when a cell finishes, before its model can be released.
+  std::vector<bool> usable(n, false);
+  // Per scenario: non-reference cells not yet checked or skipped.
+  std::vector<std::size_t> open(scenarios_.size(), width - 1);
+
+  // The helpers below run under mu; released models are destroyed by the
+  // worker after it unlocks.
+  std::vector<std::unique_ptr<Model>> released;
+  const auto release = [&](std::size_t i) {
+    if (measured[i].model) released.push_back(std::move(measured[i].model));
+  };
+  // Slot i needs no more checking: release it, and its reference once
+  // the scenario has no check left.
+  const auto close = [&](std::size_t i) {
+    const std::size_t s = slots[i].scenario;
+    release(i);
+    if (--open[s] == 0) release(s * width);
+  };
+  // Both cells of slot i's check are done: queue it, or skip it when
+  // either cell has no model to read.
+  const auto settle = [&](std::size_t i) {
+    if (usable[slots[i].scenario * width] && usable[i])
+      ready.push_back(i);
+    else
+      close(i);
+  };
+  const auto finish_cell = [&](std::size_t i) {
+    done[i] = true;
+    usable[i] = !measured[i].cell.failed && measured[i].model != nullptr;
+    const std::size_t ref = slots[i].scenario * width;
+    if (!compare) {
+      release(i);
+    } else if (i != ref) {
+      if (done[ref]) settle(i);
+    } else {
+      for (std::size_t j = ref + 1; j < ref + width; ++j)
+        if (done[j]) settle(j);
+    }
+  };
+
+  const auto worker = [&](std::size_t) {
+    std::vector<std::unique_ptr<Model>> mine;
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      if (ready_head < ready.size()) {
+        const std::size_t i = ready[ready_head++];
+        const Model& ref = *measured[slots[i].scenario * width].model;
+        const Model& cell = *measured[i].model;
+        ++busy;
+        lock.unlock();
+        // The models are only read here (the reference by several
+        // workers at once); the result goes to the cell's own slot.
+        try {
+          errors[i] = compare_cell(ref, cell);
+        } catch (...) {
+          check_failures[i] = std::current_exception();
+        }
+        lock.lock();
+        --busy;
+        close(i);
+      } else if (next_cell < n) {
+        const std::size_t i = next_cell++;
+        ++busy;
+        lock.unlock();
+        measure_slot(i);
+        lock.lock();
+        --busy;
+        finish_cell(i);
+      } else if (busy == 0) {
+        return;  // every cell measured and every check run
+      } else {
+        wake.wait(lock);
+        continue;
+      }
+      // Waiters exist only once every cell is claimed; they wait for a
+      // check to become ready or for the last unit to finish.
+      if (next_cell == n) wake.notify_all();
+      if (!released.empty()) {
+        mine.swap(released);
+        lock.unlock();
+        mine.clear();
+        lock.lock();
+      }
+    }
+  };
+
+  // The caller is one of the crew's slots. The fault point marks the
+  // epoch's start: study infrastructure, not a cell, so it fails the
+  // matrix even under isolation.
+  const std::size_t crew_slots =
+      std::min(util::resolve_threads(opts.threads), n);
+  util::Crew crew(crew_slots - 1);
   MAXEV_FAULT_POINT("pool.parallel_for");
-  crew.run(slots.size(), measure_slot);
+  crew.run(crew_slots, worker);
+  for (const std::exception_ptr& e : cell_failures)
+    if (e) std::rethrow_exception(e);
+  for (const std::exception_ptr& e : check_failures)
+    if (e) std::rethrow_exception(e);
 
   // Attribute cache hits/misses by replaying each cell's recorded key
   // sequence through a simulated LRU in slot order — exactly what the
@@ -333,31 +451,15 @@ Report Study::run(const StudyOptions& opts) const {
     }
   }
 
-  // Accuracy checks, on the same workers: every non-reference cell against
-  // its scenario's reference, written to the cell's own slot. The models
-  // are only read here (the reference by several workers at once).
-  const std::size_t others = backends_.size() - 1;
-  std::vector<std::optional<ErrorStats>> errors(slots.size());
-  if (compare && others > 0) {
-    MAXEV_FAULT_POINT("pool.parallel_for");
-    crew.run(scenarios_.size() * others, [&](std::size_t i) {
-      const std::size_t ref_slot = i / others * backends_.size();
-      const std::size_t slot = ref_slot + 1 + i % others;
-      if (usable(measured[ref_slot]) && usable(measured[slot]))
-        errors[slot] = compare_cell(*measured[ref_slot].model,
-                                    *measured[slot].model);
-    });
-  }
-
   // Serial assembly in insertion order from the slot-keyed measurements
   // and checks, so the report is byte-identical to the serial pass.
   for (std::size_t s = 0; s < scenarios_.size(); ++s) {
-    MeasuredCell* const base = &measured[s * backends_.size()];
+    MeasuredCell* const base = &measured[s * width];
     MeasuredCell& ref = base[0];
     // A failed reference cell has no traces or wall time to compare
     // against: the scenario's other cells keep their own metrics but the
     // ratios, speed-ups and accuracy stay at their unknown defaults.
-    const bool ref_ok = usable(ref);
+    const bool ref_ok = usable[s * width];
     ref.cell.is_reference = true;
     if (ref_ok) {
       ref.cell.speedup_vs_reference = 1.0;
@@ -366,10 +468,10 @@ Report Study::run(const StudyOptions& opts) const {
     }
 
     std::vector<Cell> row;
-    for (std::size_t r = 1; r < backends_.size(); ++r) {
+    for (std::size_t r = 1; r < width; ++r) {
       MeasuredCell& mc = base[r];
       Cell& cell = mc.cell;
-      if (ref_ok && usable(mc)) {
+      if (ref_ok && usable[s * width + r]) {
         cell.speedup_vs_reference =
             cell.metrics.wall_seconds > 0.0
                 ? ref.cell.metrics.wall_seconds / cell.metrics.wall_seconds
@@ -379,13 +481,13 @@ Report Study::run(const StudyOptions& opts) const {
         cell.kernel_event_ratio_vs_reference = ratio(
             ref.cell.metrics.kernel_events, cell.metrics.kernel_events);
       }
-      cell.errors = std::move(errors[s * backends_.size() + r]);
+      cell.errors = std::move(errors[s * width + r]);
       row.push_back(std::move(cell));
     }
 
     // Emit in backend insertion order, reference in place.
     std::size_t next = 0;
-    for (std::size_t b = 0; b < backends_.size(); ++b) {
+    for (std::size_t b = 0; b < width; ++b) {
       if (b == reference_)
         report.cells.push_back(std::move(ref.cell));
       else

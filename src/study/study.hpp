@@ -38,13 +38,15 @@ struct StudyOptions {
   /// meaningful with observe; costs one trace copy per cell.
   bool keep_traces = false;
   /// Worker threads for the matrix itself: cells (scenario × backend ×
-  /// repetitions) measure concurrently, then the report is assembled
-  /// serially in insertion order — cell order, comparisons and any thrown
-  /// error are identical at every setting (docs/DESIGN.md §11). Each cell
-  /// still runs its own single kernel; workload closures shared between
-  /// scenarios must be re-entrant when > 1. 1 = serial (default), 0 = one
-  /// per hardware thread; negative values are rejected. Wall-clock numbers
-  /// (and hence speedups) remain honest per cell but contend for cores; for
+  /// repetitions) measure concurrently, each accuracy check runs as soon
+  /// as its two cells are measured, and the report is assembled serially
+  /// in insertion order — cell order, comparisons and any thrown error are
+  /// identical at every setting (docs/DESIGN.md §11). Each cell still runs
+  /// its own single kernel; workload closures shared between scenarios
+  /// must be re-entrant when > 1. 1 = serial (default), 0 = one per
+  /// hardware thread; negative values are rejected. Wall-clock numbers
+  /// (and hence speedups) remain honest per cell but contend for cores
+  /// with other cells and with the checks that overlap them; for
   /// timing-grade numbers keep 1.
   int threads = 1;
   /// Worker threads *inside* each composed cell with sub-batches, draining
@@ -104,7 +106,8 @@ class Study {
 
   /// Execute the matrix. For each scenario the reference backend runs
   /// first (its rep-0 traces are kept for comparison), then every other
-  /// backend in insertion order. \throws maxev::Error on an empty matrix
+  /// backend in insertion order. Each model is freed once its checks are
+  /// done, so only the open scenarios' models are alive at once. \throws maxev::Error on an empty matrix
   /// or bad options; maxev::SimulationError per require_completion.
   [[nodiscard]] Report run(const StudyOptions& opts = {}) const;
 

@@ -12,9 +12,10 @@
 /// The library's one parallel primitive (docs/DESIGN.md §11): a persistent
 /// crew of workers that runs body(0) .. body(n-1) across itself and the
 /// calling thread, one *epoch* per run(). It serves both parallelism
-/// levers: the study matrix's measure and compare phases (few, uneven
-/// indices per epoch) and the per-group drain at every timestep barrier of
-/// a composed run (n ≤ slots, repeated many times). An epoch is an atomic
+/// levers: the study matrix (one epoch per Study::run, one index per slot,
+/// each running the matrix's own worker loop) and the per-group drain at
+/// every timestep barrier of a composed run (n ≤ slots, repeated many
+/// times). An epoch is an atomic
 /// counter bump the workers watch and an atomic countdown the caller
 /// watches: no allocation, no std::function construction and no mutex.
 ///

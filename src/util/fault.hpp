@@ -24,7 +24,7 @@
 ///   engine.flush         tdg::Engine instant-series flushes during drains
 ///   trace.append         trace::UsageTrace::push
 ///   pool.parallel_for    study::Study::run, where its crew starts the
-///                        measure or the compare phase
+///                        run's one epoch
 ///   adaptive.fastforward study::AdaptiveModel commit, after certification
 ///                        and staging but before any trace is extended
 

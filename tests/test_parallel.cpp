@@ -5,7 +5,10 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -16,18 +19,21 @@
 #include "gen/random_arch.hpp"
 #include "lte/receiver.hpp"
 #include "model/desc.hpp"
+#include "model/shaping.hpp"
 #include "study/study.hpp"
 #include "trace/instants.hpp"
 #include "trace/usage.hpp"
 #include "util/crew.hpp"
 #include "util/error.hpp"
 
-/// The threading layer (docs/DESIGN.md §11): util::Crew semantics — the
-/// study matrix's uneven phases (the ThreadPoolTest names, kept from the
+/// The threading layer (docs/DESIGN.md §11): util::Crew semantics — more
+/// and uneven indices than slots (the ThreadPoolTest names, kept from the
 /// pool the crew replaced) and the drain's repeated epochs (CrewTest) —
-/// and the determinism contract of both parallelism levers: a
-/// thread-parallel study matrix and parallel per-group batch drains must
-/// be bit-identical to their serial counterparts, run after run.
+/// the study matrix's streaming schedule (models freed once checked, a
+/// failed reference neither hanging nor checked), and the determinism
+/// contract of both parallelism levers: a thread-parallel study matrix
+/// and parallel per-group batch drains must be bit-identical to their
+/// serial counterparts, run after run.
 
 namespace maxev {
 namespace {
@@ -38,7 +44,7 @@ using study::RunConfig;
 using study::Scenario;
 using study::StudyOptions;
 
-// ------------------------------------------------ Crew: the matrix's phases
+// ------------------------------------ Crew: more indices than slots
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   util::Crew crew(3);
@@ -387,6 +393,213 @@ TEST(ParallelStudyTest, OptionErrorsIdenticalAtAnyThreadCount) {
   StudyOptions negative;
   negative.threads = -1;
   EXPECT_THROW((void)st.run(negative), Error);
+}
+
+// ------------------------------- the streaming schedule: release, failure
+
+/// Run the study under a bounded wait, so a scheduler deadlock fails the
+/// test instead of hanging the suite. A stuck run's workers cannot be
+/// joined, hence the abort.
+Report run_bounded(const study::Study& st, const StudyOptions& opts) {
+  auto result = std::async(std::launch::async, [&] { return st.run(opts); });
+  if (result.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "Study::run did not finish within 10 s";
+    std::abort();
+  }
+  return result.get();
+}
+
+/// A three-function chain of \p tokens whose source calls \p on_offer
+/// from inside every running model of it, baseline and equivalent alike.
+model::DescPtr probed_chain(std::uint64_t tokens,
+                            std::function<void()> on_offer) {
+  model::ArchitectureDesc d;
+  const auto r =
+      d.add_resource("cpu", model::ResourcePolicy::kConcurrent, 1e9);
+  const auto in = d.add_rendezvous("in");
+  auto ch = in;
+  for (int i = 0; i < 3; ++i) {
+    const auto f = d.add_function("f" + std::to_string(i), r);
+    const auto next = d.add_rendezvous("c" + std::to_string(i));
+    d.fn_read(f, ch);
+    d.fn_execute(f, model::constant_ops(1000));
+    d.fn_write(f, next);
+    ch = next;
+  }
+  const auto out = ch;
+  d.add_source(
+      "src", in, tokens,
+      [on_offer = std::move(on_offer)](std::uint64_t k) {
+        on_offer();
+        return model::PeriodicTimeFn{0, 1'000'000}(k);
+      },
+      model::ConstantAttrsFn{});
+  d.add_sink("sink", out);
+  d.validate();
+  return model::share(std::move(d));
+}
+
+/// Which scenarios of a study hold live models, seen from inside the
+/// running ones. A model holds its scenario's description, so a
+/// description used more often than before run() has a live model (with
+/// the program cache off: cache keys hold descriptions too).
+class LiveModelProbe {
+ public:
+  /// Called by scenario \p running's source.
+  void sample(std::size_t running) {
+    std::size_t live = 0;
+    std::size_t others = 0;
+    for (std::size_t s = 0; s < descs_.size(); ++s) {
+      if (descs_[s].use_count() <= base_[s]) continue;
+      ++live;
+      if (s != running) ++others;
+    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++samples_[running];
+    peak_live_ = std::max(peak_live_, live);
+    peak_others_ = std::max(peak_others_, others);
+  }
+
+  void watch(const std::vector<model::DescPtr>& descs) {
+    descs_.assign(descs.begin(), descs.end());
+    samples_.assign(descs.size(), 0);
+  }
+
+  /// Take the use counts of an idle study; clears the peaks.
+  void arm() {
+    base_.clear();
+    for (const auto& d : descs_) base_.push_back(d.use_count());
+    samples_.assign(descs_.size(), 0);
+    peak_live_ = 0;
+    peak_others_ = 0;
+  }
+
+  [[nodiscard]] std::size_t peak_live() const { return peak_live_; }
+  [[nodiscard]] std::size_t peak_others() const { return peak_others_; }
+  [[nodiscard]] const std::vector<int>& samples() const { return samples_; }
+
+ private:
+  std::vector<std::weak_ptr<const model::ArchitectureDesc>> descs_;
+  std::vector<long> base_;
+  std::mutex mu_;
+  std::vector<int> samples_;
+  std::size_t peak_live_ = 0;
+  std::size_t peak_others_ = 0;
+};
+
+TEST(ParallelStudyTest, ModelsAreFreedOnceTheirChecksAreDone) {
+  // 16 scenarios × {baseline, equivalent}. A check releases the checked
+  // model, and a scenario's last check its reference, so only the open
+  // scenarios' models are alive at once: at threads = 1 the running one
+  // alone, and otherwise at most one per crew slot plus the scenario whose
+  // next cell is still unclaimed.
+  constexpr std::size_t kScenarios = 16;
+  LiveModelProbe probe;
+  std::vector<model::DescPtr> descs;
+  study::Study st;
+  for (std::size_t s = 0; s < kScenarios; ++s) {
+    descs.push_back(probed_chain(20, [&probe, s] { probe.sample(s); }));
+    st.add(Scenario("chain" + std::to_string(s), descs.back()));
+  }
+  st.add(Backend::baseline());
+  st.add(Backend::equivalent());
+  probe.watch(descs);
+  descs.clear();  // the study's scenarios are the only owners left
+
+  StudyOptions opts;
+  opts.program_cache = false;
+  for (const int threads : {1, 2, 8}) {
+    opts.threads = threads;
+    probe.arm();
+    const Report rep = run_bounded(st, opts);
+    for (const study::Cell& c : rep.cells) {
+      if (!c.is_reference) {
+        EXPECT_TRUE(c.errors && c.errors->exact());
+      }
+    }
+    for (std::size_t s = 0; s < kScenarios; ++s)
+      EXPECT_GT(probe.samples()[s], 0) << "scenario " << s;
+    if (threads == 1) {
+      // Every model of scenario i is gone before scenario i + 1 starts.
+      EXPECT_EQ(probe.peak_others(), 0u);
+    } else {
+      EXPECT_LE(probe.peak_live(), static_cast<std::size_t>(threads) + 1)
+          << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelStudyTest, FailedReferenceSkipsItsChecksWithoutHanging) {
+  // An event budget between the long scenario's equivalent and baseline
+  // event counts fails its reference alone. No worker may wait on the
+  // failed cell, and its scenario's other cells go unchecked.
+  const std::vector<std::pair<std::string, std::uint64_t>> chains = {
+      {"short0", 20}, {"long", 400}, {"short1", 20}};
+  std::vector<std::atomic<int>> offers(chains.size());
+  study::Study st;
+  for (std::size_t s = 0; s < chains.size(); ++s)
+    st.add(Scenario(chains[s].first,
+                    probed_chain(chains[s].second,
+                                 [&offers, s] { offers[s].fetch_add(1); })));
+  st.add(Backend::baseline());
+  st.add(Backend::equivalent());
+
+  StudyOptions opts;
+  const Report unguarded = run_bounded(st, opts);
+  const std::uint64_t base_events =
+      unguarded.at("long", "baseline").metrics.kernel_events;
+  const std::uint64_t eq_events =
+      unguarded.at("long", "equivalent").metrics.kernel_events;
+  ASSERT_LT(2 * eq_events, base_events);
+  opts.max_events = (base_events + eq_events) / 2;
+
+  const auto offer_counts = [&] {
+    std::vector<int> counts;
+    for (std::atomic<int>& n : offers) counts.push_back(n.exchange(0));
+    return counts;
+  };
+  (void)offer_counts();
+
+  opts.isolate_failures = true;
+  const Report serial = run_bounded(st, opts);
+  const std::vector<int> every_cell = offer_counts();
+  ASSERT_TRUE(serial.at("long", "baseline").failed);
+  EXPECT_FALSE(serial.at("long", "equivalent").failed);
+  EXPECT_FALSE(serial.at("long", "equivalent").errors.has_value());
+  for (const char* s : {"short0", "short1"}) {
+    EXPECT_FALSE(serial.at(s, "baseline").failed) << s;
+    ASSERT_TRUE(serial.at(s, "equivalent").errors.has_value()) << s;
+    EXPECT_TRUE(serial.at(s, "equivalent").errors->exact()) << s;
+  }
+  const std::string ref_json = blank_walls(serial).to_json();
+  for (const int threads : {1, 2, 8}) {
+    opts.threads = threads;
+    EXPECT_EQ(blank_walls(run_bounded(st, opts)).to_json(), ref_json)
+        << "threads=" << threads;
+    EXPECT_EQ(offer_counts(), every_cell) << "threads=" << threads;
+  }
+
+  // Outside isolation every cell still runs (the same offers as above),
+  // then the failed reference's exception is rethrown.
+  opts.isolate_failures = false;
+  std::vector<std::string> messages;
+  for (const int threads : {1, 2, 8}) {
+    opts.threads = threads;
+    try {
+      (void)run_bounded(st, opts);
+      ADD_FAILURE() << "threads=" << threads << ": no exception";
+    } catch (const SimulationError& e) {
+      messages.emplace_back(e.what());
+    }
+    EXPECT_EQ(offer_counts(), every_cell) << "threads=" << threads;
+  }
+  ASSERT_EQ(messages.size(), 3u);
+  EXPECT_NE(messages[0].find("scenario 'long', backend 'baseline'"),
+            std::string::npos)
+      << messages[0];
+  EXPECT_EQ(messages[1], messages[0]);
+  EXPECT_EQ(messages[2], messages[0]);
 }
 
 // ------------------------------------- determinism: per-group batch drains
